@@ -17,6 +17,7 @@ safe to share across trajectory workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -154,10 +155,16 @@ def validate_density(
     return DensityOperator(matrix, tolerances)
 
 
-def _sqrt_psd(hermitian: np.ndarray) -> np.ndarray:
-    """Square root of an already-validated Hermitian PSD matrix."""
+def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Square root of an already-validated Hermitian PSD matrix.
+
+    Eigenvalues at or below d * eps * lambda_max are eigensolver noise on an
+    exact zero and are dropped. Returns the root and lambda_max.
+    """
     w, v = np.linalg.eigh(hermitian)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam_max = float(w[-1])
+    cut = len(w) * np.finfo(np.float64).eps * lam_max
+    return (v * np.sqrt(np.where(w > cut, w, 0.0))) @ v.conj().T, lam_max
 
 
 def matrix_sqrt(
@@ -180,7 +187,7 @@ def matrix_sqrt(
     lam_min = float(np.linalg.eigvalsh(sym)[0])
     if lam_min < -tol_psd:
         raise NegativeEigenvalueError(lam_min, tol_psd)
-    s = _sqrt_psd(sym)
+    s, _ = _sqrt_psd(sym)
     return (s + s.conj().T) / 2.0
 
 
@@ -188,8 +195,9 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Uhlmann fidelity (squared convention), clamped into [0, 1].
 
     Computed as the squared sum of the eigenvalue square roots of
-    sqrt(rho) sigma sqrt(rho). Eigenvalues below d * eps relative to the
-    largest are eigensolver noise on an exact zero (rank-deficient inputs)
+    sqrt(rho) sigma sqrt(rho). Eigenvalues at or below d * eps *
+    lambda_max(rho) * ||sigma||_inf, the backward error of forming that
+    product, are rounding noise on an exact zero (rank-deficient inputs)
     and are dropped: the square root would otherwise amplify O(1e-17)
     noise into O(1e-9) fidelity error. With the cut, results are symmetric
     in the arguments and reproducible to well below 1e-9.
@@ -198,9 +206,12 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise DimensionMismatchError(
             f"fidelity needs equal dimensions, got {rho.dim} and {sigma.dim}"
         )
-    s = _sqrt_psd(rho.matrix)
+    s, lam_max = _sqrt_psd(rho.matrix)
     inner = s @ sigma.matrix @ s
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    cut = float(w[-1]) * len(w) * np.finfo(np.float64).eps
-    root_sum = float(np.sqrt(w[w > max(cut, 0.0)]).sum())
+    cut = (
+        len(w) * np.finfo(np.float64).eps * lam_max
+        * float(np.linalg.norm(sigma.matrix, np.inf))
+    )
+    root_sum = float(np.sqrt(w[w > cut]).sum())
     return min(1.0, max(0.0, root_sum * root_sum))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfilter import DensityOperator, Tolerances, fidelity, matrix_sqrt, validate_density
@@ -149,6 +149,7 @@ class TestFidelity:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), d=st.integers(2, 6))
+    @example(seed=784, d=2)  # asymmetric by 6.8e-9 under a relative-only cut
     def test_bounds_property(self, seed, d):
         rng = np.random.default_rng(seed)
         rho = random_density_operator(rng, d)
