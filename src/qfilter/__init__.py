@@ -2,8 +2,8 @@
 
 Library layout:
 
-- ``density``: density-operator algebra (validation, matrix sqrt, fidelity)
-- ``kraus``: Kraus families, jump probabilities, conditional/unconditional maps
+- ``density``: density-operator algebra (validation, fidelity)
+- ``kraus``: Kraus families, jump probabilities, conditional updates
 - ``errormodel``: left-stochastic detector error matrices and outcome sampling
 - ``filtering``: the optimal recursive filter and its degenerate-case limit
 - ``oracle``: brute-force Bayes expansion certifying the recursion
@@ -19,19 +19,16 @@ from .density import (
     DensityOperator,
     Tolerances,
     fidelity,
-    matrix_sqrt,
-    validate_density,
 )
-from .errormodel import ErrorModel, sample_real_outcome, validate_error_model
+from .errormodel import ErrorModel, sample_real_outcome
 from .filtering import (
     FilterState,
     MeasurementStep,
-    coarse_kraus,
     filter_update,
     outcome_probabilities,
     run_filter,
 )
-from .kraus import KrausFamily, PROB_FLOOR, apply_jump, jump_probabilities, kraus_map
+from .kraus import KrausFamily, PROB_FLOOR, apply_jump, jump_probabilities
 from .oracle import direct_estimate, marginal_evidence, sequence_posterior
 from .photonbox import (
     PhotonBoxParams,
@@ -64,14 +61,10 @@ __all__ = [
     "DensityOperator",
     "Tolerances",
     "fidelity",
-    "matrix_sqrt",
-    "validate_density",
     "ErrorModel",
     "sample_real_outcome",
-    "validate_error_model",
     "FilterState",
     "MeasurementStep",
-    "coarse_kraus",
     "filter_update",
     "outcome_probabilities",
     "run_filter",
@@ -79,7 +72,6 @@ __all__ = [
     "PROB_FLOOR",
     "apply_jump",
     "jump_probabilities",
-    "kraus_map",
     "direct_estimate",
     "marginal_evidence",
     "sequence_posterior",

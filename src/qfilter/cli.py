@@ -22,7 +22,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .config import (
     ExperimentConfig,
     build_steps,
     load_config,
+    parse_tolerances,
     resolve_states,
 )
 from .density import Tolerances
@@ -46,7 +47,7 @@ from .photonbox import (
 )
 from .simulate import TrajectoryConfig, run_ensemble
 from .stability import ensemble_submartingale
-from .verify import run_suites
+from .verify import ALL_SUITES, run_suites
 from . import serialize
 
 log = logging.getLogger("qfilter")
@@ -54,8 +55,6 @@ log = logging.getLogger("qfilter")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILURE = 2
-
-_TOLERANCE_NAMES = ("herm", "trace", "psd")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +82,8 @@ def _add_common(p: argparse.ArgumentParser, *, config_required: bool = True):
         action="append",
         default=[],
         metavar="name=value",
-        help=f"override a named tolerance ({', '.join(_TOLERANCE_NAMES)})",
+        help="override a named tolerance ("
+        + ", ".join(f.name for f in dataclasses.fields(Tolerances)) + ")",
     )
 
 
@@ -134,28 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tolerance_overrides(
-    tolerances: Tolerances, overrides: Sequence[str]
-) -> Tolerances:
-    values = {
-        "herm": tolerances.herm,
-        "trace": tolerances.trace,
-        "psd": tolerances.psd,
-    }
-    for item in overrides:
-        name, sep, value = item.partition("=")
-        if not sep or name not in values:
-            raise ConfigError(
-                f"bad --tolerance {item!r}; expected one of "
-                f"{', '.join(_TOLERANCE_NAMES)} as name=value"
-            )
-        try:
-            values[name] = float(value)
-        except ValueError as err:
-            raise ConfigError(f"bad --tolerance value in {item!r}: {err}") from err
-    return Tolerances(**values)
-
-
 def _prepare(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
@@ -164,9 +142,13 @@ def _prepare(args) -> ExperimentConfig:
     if args.out is not None:
         updates["output_directory"] = args.out
     if args.tolerance:
-        updates["tolerances"] = _apply_tolerance_overrides(
-            config.tolerances, args.tolerance
-        )
+        overrides = {}
+        for item in args.tolerance:
+            name, sep, value = item.partition("=")
+            if not sep:
+                raise ConfigError(f"bad --tolerance {item!r}; expected name=value")
+            overrides[name] = value
+        updates["tolerances"] = parse_tolerances(overrides, config.tolerances)
     if updates:
         config = dataclasses.replace(config, **updates)
     return config
@@ -343,10 +325,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     config = _prepare(args)
     out = _out_dir(config)
-    names = list(args.check) or list(config.checks) or list(
-        ("oracle", "ideal-reduction", "submartingale-exact", "inequality",
-         "photonbox-structure", "predictive-consistency", "determinism")
-    )
+    names = list(args.check) or list(config.checks) or list(ALL_SUITES)
     log.info("running verification suites: %s", ", ".join(names))
     results = run_suites(names, config.verify)
 
@@ -367,12 +346,7 @@ def cmd_photonbox_export(args) -> int:
         config = _prepare(args)
         if config.model.get("type") != "photonbox":
             raise ConfigError("photonbox-export needs a photonbox model config")
-        params = PhotonBoxParams(
-            **{
-                k: tuple(v) if k == "p_atom" else v
-                for k, v in config.model.get("params", {}).items()
-            }
-        )
+        params = PhotonBoxParams(**config.model.get("params", {}))
         out = _out_dir(config)
     else:
         params = PhotonBoxParams()
@@ -383,17 +357,7 @@ def cmd_photonbox_export(args) -> int:
     elementary = l_operators(params)
     family = composite_kraus(params, alpha)
     payload = {
-        "params": {
-            "n_max": params.n_max,
-            "p_atom": list(params.p_atom),
-            "detection_efficiency": params.detection_efficiency,
-            "assign_error_g": params.assign_error_g,
-            "assign_error_e": params.assign_error_e,
-            "decoherence_strength": params.decoherence_strength,
-            "thermal_occupation": params.thermal_occupation,
-            "phase_per_photon": params.phase_per_photon,
-            "reference_phase": params.reference_phase,
-        },
+        "params": dataclasses.asdict(params),
         "alpha": [alpha.real, alpha.imag],
         "atom_jumps": list(ATOM_JUMPS),
         "cavity_jumps": list(CAVITY_JUMPS),

@@ -6,20 +6,22 @@ One human-readable structured format covers both model families:
 - photonbox: the cavity probe parameter block plus a displacement schedule.
 
 Configs are schema-validated before any computation; every numeric payload
-uses the matrix/vector conventions from ``serialize``. ``load_config`` /
-``config_to_dict`` round-trip exactly.
+uses the matrix/vector conventions from ``serialize``. Parsing depends only
+on the JSON content, so a config re-parsed after a JSON round trip is equal.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 import jsonschema
 
-from .density import DensityOperator, Tolerances
+from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances
 from .errors import ConfigError, ValidationError
 from .filtering import MeasurementStep
 from .photonbox import PhotonBoxParams, composite_kraus, detection_error_model
@@ -30,7 +32,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config",
-    "config_to_dict",
+    "parse_tolerances",
     "build_steps",
     "build_state",
     "resolve_states",
@@ -183,7 +185,7 @@ _PHOTONBOX_MODEL_SCHEMA = {
         "alpha": {
             "oneOf": [
                 _COMPLEX_SCHEMA,
-                {"type": "array", "items": _COMPLEX_SCHEMA},
+                {"type": "array", "items": _COMPLEX_SCHEMA, "minItems": 1},
             ]
         },
     },
@@ -228,12 +230,7 @@ CONFIG_SCHEMA = {
         "verify": {"type": "object"},
         "tolerances": {
             "type": "object",
-            "properties": {
-                "herm": {"type": "number", "exclusiveMinimum": 0},
-                "trace": {"type": "number", "exclusiveMinimum": 0},
-                "psd": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
+            "additionalProperties": {"type": "number"},
         },
         "output": {
             "type": "object",
@@ -247,9 +244,8 @@ CONFIG_SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment configuration (the raw dict is kept for round-trips)."""
+    """Parsed experiment configuration."""
 
-    raw: Dict
     model: Dict
     initial_true: Dict
     initial_filters: Dict[str, Dict]
@@ -273,14 +269,7 @@ def parse_config(data: Dict) -> ExperimentConfig:
         path = "$" + "".join(f"[{p!r}]" for p in err.absolute_path)
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
 
-    tol_over = data.get("tolerances", {})
-    tolerances = Tolerances(
-        herm=float(tol_over.get("herm", Tolerances().herm)),
-        trace=float(tol_over.get("trace", Tolerances().trace)),
-        psd=float(tol_over.get("psd", Tolerances().psd)),
-    )
     return ExperimentConfig(
-        raw=data,
         model=data["model"],
         initial_true=data["initial"]["true"],
         initial_filters=dict(data["initial"]["filters"]),
@@ -294,9 +283,32 @@ def parse_config(data: Dict) -> ExperimentConfig:
         record_predictions=bool(data.get("record_predictions", False)),
         checks=tuple(str(c) for c in data.get("checks", [])),
         verify=dict(data.get("verify", {})),
-        tolerances=tolerances,
+        tolerances=parse_tolerances(data.get("tolerances", {})),
         output_directory=str(data.get("output", {}).get("directory", "out")),
     )
+
+
+def parse_tolerances(
+    values: Mapping[str, object], base: Tolerances = DEFAULT_TOLERANCES
+) -> Tolerances:
+    """``base`` with the named tolerances replaced, each finite and > 0.
+
+    The one parser for the config's ``tolerances`` block and ``--tolerance``.
+    """
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    parsed = {}
+    for name, value in values.items():
+        if name not in names:
+            raise ConfigError(
+                f"unknown tolerance {name!r}; expected one of {', '.join(names)}"
+            )
+        try:
+            parsed[name] = float(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"tolerance {name}={value!r} is not a number") from err
+        if not (math.isfinite(parsed[name]) and parsed[name] > 0.0):
+            raise ConfigError(f"tolerance {name}={value!r} must be finite and > 0")
+    return dataclasses.replace(base, **parsed)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -317,11 +329,6 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
         return parse_config(data)
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from err
-
-
-def config_to_dict(config: ExperimentConfig) -> Dict:
-    """The exact dict the config was parsed from (round-trip identity)."""
-    return config.raw
 
 
 def _model_dim(model: Dict) -> int:
@@ -357,15 +364,10 @@ def build_state(spec: Dict, dim: int, tolerances: Tolerances) -> DensityOperator
 def build_steps(model: Dict, horizon: int) -> List[MeasurementStep]:
     """Materialize the per-step measurement models for a horizon."""
     if model["type"] == "photonbox":
-        params = PhotonBoxParams(
-            **{
-                k: tuple(v) if k == "p_atom" else v
-                for k, v in model.get("params", {}).items()
-            }
-        )
+        params = PhotonBoxParams(**model.get("params", {}))
         errors = detection_error_model(params)
         alpha = model.get("alpha", [0.0, 0.0])
-        if alpha and isinstance(alpha[0], (list, tuple)):
+        if isinstance(alpha[0], (list, tuple)):
             schedule = [complex(re, im) for re, im in alpha]
             if len(schedule) < horizon:
                 raise ConfigError(

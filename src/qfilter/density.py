@@ -2,8 +2,7 @@
 
 A density operator is a Hermitian, positive semidefinite, unit-trace complex
 matrix. This module owns the numerical contracts everything else leans on:
-validation against configurable tolerances, the Hermitian matrix square root,
-and the (Uhlmann) fidelity
+validation against configurable tolerances and the (Uhlmann) fidelity
 
     F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
 
@@ -33,10 +32,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "DensityOperator",
-    "as_complex_matrix",
-    "matrix_sqrt",
     "fidelity",
-    "validate_density",
 ]
 
 
@@ -53,22 +49,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def as_complex_matrix(values) -> np.ndarray:
-    """Coerce to a read-only 2-D complex128 array, rejecting NaN/Inf."""
-    m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValidationError("matrix contains NaN or Inf entries")
-    m = m.copy()
-    m.flags.writeable = False
-    return m
-
-
-def _hermiticity_deviation(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
 class DensityOperator:
@@ -144,17 +124,6 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def validate_density(
-    matrix, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> DensityOperator:
-    """Validate a raw matrix as a density operator.
-
-    Raises NonHermitianError, TraceDeviationError or NegativeEigenvalueError,
-    each naming the offending quantity and its magnitude.
-    """
-    return DensityOperator(matrix, tolerances)
-
-
 def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, float]:
     """Square root of an already-validated Hermitian PSD matrix.
 
@@ -165,30 +134,6 @@ def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, float]:
     lam_max = float(w[-1])
     cut = len(w) * np.finfo(np.float64).eps * lam_max
     return (v * np.sqrt(np.where(w > cut, w, 0.0))) @ v.conj().T, lam_max
-
-
-def matrix_sqrt(
-    m, *, tol_herm: float = DEFAULT_TOLERANCES.herm,
-    tol_psd: float = DEFAULT_TOLERANCES.psd,
-) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues in [-tol_psd, 0) are clamped to 0 before the square root;
-    anything lower raises NegativeEigenvalueError. Robust and exact (to
-    eigensolver accuracy) at the small dimensions used here.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix_sqrt needs a square matrix, got {a.shape}")
-    dev_h = _hermiticity_deviation(a)
-    if dev_h > tol_herm:
-        raise NonHermitianError(dev_h, tol_herm)
-    sym = (a + a.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(sym)[0])
-    if lam_min < -tol_psd:
-        raise NegativeEigenvalueError(lam_min, tol_psd)
-    s, _ = _sqrt_psd(sym)
-    return (s + s.conj().T) / 2.0
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:

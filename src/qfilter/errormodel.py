@@ -17,8 +17,8 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = ["COLUMN_SUM_TOL", "ErrorModel", "validate_error_model",
-           "sample_real_outcome", "inverse_cdf_index"]
+__all__ = ["COLUMN_SUM_TOL", "ErrorModel", "sample_real_outcome",
+           "inverse_cdf_index"]
 
 # Strict: analytic models are exact, and numerically built ones should be
 # assembled so the last entry absorbs rounding. Catches modeling bugs early.
@@ -64,11 +64,6 @@ class ErrorModel:
 
     def __repr__(self) -> str:
         return f"ErrorModel(m_real={self.m_real}, m_ideal={self.m_ideal})"
-
-
-def validate_error_model(eta_raw) -> ErrorModel:
-    """Validate a raw matrix, naming the offending entry or column on failure."""
-    return ErrorModel(eta_raw)
 
 
 def inverse_cdf_index(probabilities: np.ndarray, u: float) -> int:

@@ -43,7 +43,6 @@ from .kraus import (
 __all__ = [
     "MeasurementStep",
     "FilterState",
-    "coarse_kraus",
     "filter_update",
     "outcome_probabilities",
     "run_filter",
@@ -88,46 +87,25 @@ class MeasurementStep:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Filter estimate after step_index - 1 updates (step_index starts at 1).
+    """A filter estimate.
 
-    ``log`` (optional) accumulates (outcome, predicted probability) pairs;
     ``regularized`` marks whether the update that produced this state went
     through the shrinking-epsilon branch.
     """
 
     estimate: DensityOperator
-    step_index: int = 1
-    log: Optional[Tuple[Tuple[int, float], ...]] = None
     regularized: bool = False
-
-
-def coarse_kraus(step: MeasurementStep, p: int) -> List[np.ndarray]:
-    """Coarse-grained operators sqrt(eta[p, q]) * M_q for every ideal q.
-
-    Grouping ideal jumps by the detector outcome p partitions the full set
-    {sqrt(eta[p, q]) M_q : p, q}; the union over p reproduces
-    sum_q M_q^dag M_q with multiplicity.
-    """
-    if not 0 <= p < step.m_real:
-        raise IndexOutOfRangeError(
-            f"real outcome {p} out of range for m_real={step.m_real}"
-        )
-    weights = np.sqrt(step.errors.eta[p])
-    return [w * m for w, m in zip(weights, step.family.operators)]
 
 
 def regularized_image(
     rho: np.ndarray,
     image: Callable[[np.ndarray], np.ndarray],
-    *,
-    eps_ladder: Sequence[float] = EPS_LADDER,
-    stabilization_tol: float = EPS_STABILIZATION_TOL,
 ) -> Tuple[np.ndarray, bool]:
     """Normalized image of a CP map at a state whose image trace vanishes.
 
     Evaluates image((rho + eps I)/tr(rho + eps I)), normalized, along the
     shrinking eps ladder and accepts the smaller-eps member of the first
-    pair that agrees to ``stabilization_tol`` in max-norm. Returns the
+    pair that agrees to ``EPS_STABILIZATION_TOL`` in max-norm. Returns the
     matrix and whether the ladder stabilized; emits RegularizationWarning
     if it did not. Such a limit point always exists (states live in a
     compact set); any stabilized limit is acceptable.
@@ -136,7 +114,7 @@ def regularized_image(
     eye = np.eye(d, dtype=np.complex128)
     prev = None
     stabilized = False
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         rho_eps = (rho + eps * eye) / (np.trace(rho).real + eps * d)
         out = image(rho_eps)
         tr = np.trace(out).real
@@ -146,7 +124,7 @@ def regularized_image(
                 "regularization; the outcome is impossible from every state"
             )
         out = out / tr
-        if prev is not None and float(np.abs(out - prev).max()) < stabilization_tol:
+        if prev is not None and float(np.abs(out - prev).max()) < EPS_STABILIZATION_TOL:
             stabilized = True
             prev = out
             break
@@ -154,7 +132,7 @@ def regularized_image(
     if not stabilized:
         warnings.warn(
             "shrinking-epsilon regularization did not stabilize across "
-            f"{tuple(eps_ladder)}; using the smallest-epsilon value",
+            f"{EPS_LADDER}; using the smallest-epsilon value",
             RegularizationWarning,
             stacklevel=2,
         )
@@ -212,13 +190,8 @@ def filter_update(
         regularized = True
 
     new_matrix = (new_matrix + new_matrix.conj().T) / 2.0
-    log = state.log
-    if log is not None:
-        log = log + ((p, denominator),)
     return FilterState(
         estimate=DensityOperator(new_matrix, tolerances),
-        step_index=state.step_index + 1,
-        log=log,
         regularized=regularized,
     )
 
@@ -244,7 +217,6 @@ def run_filter(
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
     *,
-    log_probabilities: bool = False,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> List[FilterState]:
     """Run the recursion over a recorded outcome sequence.
@@ -256,11 +228,7 @@ def run_filter(
         raise DimensionMismatchError(
             f"{len(steps)} steps but {len(outcomes)} outcomes"
         )
-    state = FilterState(
-        estimate=initial,
-        step_index=1,
-        log=() if log_probabilities else None,
-    )
+    state = FilterState(estimate=initial)
     states = [state]
     for step, p in zip(steps, outcomes):
         state = filter_update(state, step, int(p), tolerances)

@@ -1,4 +1,4 @@
-"""Kraus operator families: completeness checking, jumps, and the channel map.
+"""Kraus operator families: completeness checking, jumps, and weighted images.
 
 A family {M_q} with sum_q M_q^dag M_q = I describes one measurement step.
 Detecting jump q collapses rho to M_q rho M_q^dag / tr(...), with
@@ -32,7 +32,6 @@ __all__ = [
     "KrausFamily",
     "jump_probabilities",
     "apply_jump",
-    "kraus_map",
 ]
 
 # Below this, a jump probability is treated as zero: dividing by it would
@@ -102,11 +101,6 @@ class KrausFamily:
     @property
     def dim(self) -> int:
         return self.operators.shape[1]
-
-    def completeness_deficit(self) -> float:
-        """Measured max-norm of sum_q M_q^dag M_q - I."""
-        gram = np.einsum("qki,qkj->ij", self.operators.conj(), self.operators)
-        return float(np.abs(gram - np.eye(self.dim)).max())
 
     def __len__(self) -> int:
         return self.count
@@ -194,16 +188,3 @@ def apply_jump(
         )
     return DensityOperator(out / prob, tolerances)
 
-
-def kraus_map(
-    family: KrausFamily,
-    rho: DensityOperator,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> DensityOperator:
-    """Unconditional evolution sum_q M_q rho M_q^dag, trace-renormalized.
-
-    Equals the jump-probability-weighted mixture of apply_jump outcomes.
-    """
-    _check_dim(family, rho)
-    total = weighted_image(family, np.ones(family.count), rho.matrix)
-    return DensityOperator(total / total.trace().real, tolerances)

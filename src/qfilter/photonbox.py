@@ -56,7 +56,8 @@ class PhotonBoxParams:
     """Experimental parameters of the photon-box probe.
 
     Defaults are desk-scale working values chosen for tests and demos, not
-    measured values from any particular apparatus.
+    measured values from any particular apparatus. ``p_atom`` is stored as a
+    tuple, so a JSON list yields a hashable (cacheable) parameter set.
     """
 
     n_max: int = 10
@@ -70,6 +71,7 @@ class PhotonBoxParams:
     reference_phase: float = math.pi / 4
 
     def __post_init__(self):
+        object.__setattr__(self, "p_atom", tuple(self.p_atom))
         if self.n_max < 1:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
         if len(self.p_atom) != 3:

@@ -1,6 +1,6 @@
 """File formats: JSON wire representations of every value the CLI touches.
 
-Conventions (documented with examples in docs/formats.md):
+Conventions:
 
 - Complex matrices: ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
   with entries row-major. Floats are emitted at full round-trip precision
@@ -14,7 +14,7 @@ Conventions (documented with examples in docs/formats.md):
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "step_to_dict",
     "step_from_dict",
     "record_to_dict",
-    "record_from_dict",
 ]
 
 
@@ -136,11 +135,6 @@ def _pair_key(pair: Tuple[str, str]) -> str:
     return f"{pair[0]}|{pair[1]}"
 
 
-def _pair_from_key(key: str) -> Tuple[str, str]:
-    a, _, b = key.partition("|")
-    return (a, b)
-
-
 def record_to_dict(record: TrajectoryRecord, *, include_states: bool = False) -> Dict:
     """JSON form of one trajectory (steps are carried by the stream header)."""
     out = {
@@ -152,7 +146,6 @@ def record_to_dict(record: TrajectoryRecord, *, include_states: bool = False) ->
         },
         "filter_names": list(record.filter_names),
         "truth_matched_filter": record.truth_matched_filter,
-        "shared_outcome_stream": record.shared_outcome_stream,
         "flagged_steps": [[k, name] for k, name in record.flagged_steps],
     }
     if record.predicted_probabilities is not None:
@@ -173,51 +166,3 @@ def record_to_dict(record: TrajectoryRecord, *, include_states: bool = False) ->
         }
     return out
 
-
-def record_from_dict(
-    data: Dict,
-    steps: Sequence[MeasurementStep],
-    true_initial: DensityOperator,
-    filter_initials: Dict[str, DensityOperator],
-) -> TrajectoryRecord:
-    """Rebuild a record; model context comes from the stream header."""
-    if "true_initial" in data:
-        true_initial = density_from_dict(data["true_initial"])
-        filter_initials = {
-            name: density_from_dict(d)
-            for name, d in data["filter_initials"].items()
-        }
-    true_states = None
-    filter_states = None
-    if "true_states" in data:
-        true_states = tuple(density_from_dict(d) for d in data["true_states"])
-        filter_states = {
-            name: tuple(density_from_dict(d) for d in states)
-            for name, states in data["filter_states"].items()
-        }
-    predicted = None
-    if "predicted_probabilities" in data:
-        predicted = {
-            name: np.asarray(rows, dtype=np.float64)
-            for name, rows in data["predicted_probabilities"].items()
-        }
-    return TrajectoryRecord(
-        ideal_outcomes=np.asarray(data["ideal_outcomes"], dtype=np.int64),
-        real_outcomes=np.asarray(data["real_outcomes"], dtype=np.int64),
-        fidelities={
-            _pair_from_key(key): np.asarray(series, dtype=np.float64)
-            for key, series in data["fidelities"].items()
-        },
-        filter_names=tuple(data["filter_names"]),
-        true_initial=true_initial,
-        filter_initials=filter_initials,
-        steps=tuple(steps),
-        truth_matched_filter=data.get("truth_matched_filter"),
-        shared_outcome_stream=bool(data.get("shared_outcome_stream", True)),
-        true_states=true_states,
-        filter_states=filter_states,
-        predicted_probabilities=predicted,
-        flagged_steps=tuple(
-            (int(k), str(name)) for k, name in data.get("flagged_steps", [])
-        ),
-    )

@@ -100,7 +100,6 @@ class TrajectoryRecord:
     filter_initials: Mapping[str, DensityOperator]
     steps: Tuple[MeasurementStep, ...]
     truth_matched_filter: Optional[str]
-    shared_outcome_stream: bool = True
     true_states: Optional[Tuple[DensityOperator, ...]] = None
     filter_states: Optional[Mapping[str, Tuple[DensityOperator, ...]]] = None
     predicted_probabilities: Optional[Mapping[str, np.ndarray]] = None

@@ -33,7 +33,6 @@ from .density import DensityOperator, fidelity
 from .errormodel import ErrorModel
 from .errors import (
     BadPartitionError,
-    CompletenessViolationError,
     DimensionMismatchError,
     EnsembleTooSmallError,
     SubmartingaleViolationError,
@@ -198,9 +197,9 @@ def exact_one_step_submartingale(
 class SubmartingaleReport:
     """Ensemble statistics of the fidelity increment series.
 
-    ``asserted`` states whether the preconditions for the submartingale
-    statement were met (two filters driven by one shared outcome stream,
-    the first pair member initialized at the true state). When they are
+    ``asserted`` states whether the precondition for the submartingale
+    statement was met (the first pair member initialized at the true state;
+    both filters always consume one shared outcome stream). When it is
     not, the numbers are still reported but carry no guarantee, and
     ``passed`` is False. The statistical gate is mean >= -3 SE at every
     step; ``exact_checks`` counts spot re-evaluations of the exact
@@ -272,13 +271,7 @@ def ensemble_submartingale(
 
     asserted = True
     reason = "preconditions met"
-    if any(not r.shared_outcome_stream for r in records):
-        asserted = False
-        reason = (
-            "filters were not driven by one shared outcome stream; the "
-            "submartingale statement is NOT asserted for these records"
-        )
-    elif any(r.truth_matched_filter != pair[0] for r in records):
+    if any(r.truth_matched_filter != pair[0] for r in records):
         asserted = False
         reason = (
             f"filter {pair[0]!r} is not initialized at the true state in every "
@@ -380,11 +373,7 @@ def check_fidelity_inequality(
     and reported in ``degenerate_parts``; the single-part partition reduces
     to monotonicity of fidelity under the full channel.
     """
-    ops = np.asarray(operators, dtype=np.complex128)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise DimensionMismatchError(
-            f"expected a stack of square operators, got shape {ops.shape}"
-        )
+    ops = KrausFamily(operators, completeness_tolerance=completeness_tol).operators
     d = ops.shape[1]
     if rho.dim != d or sigma.dim != d:
         raise DimensionMismatchError(
@@ -395,10 +384,6 @@ def check_fidelity_inequality(
         raise ValidationError(
             f"operator {int(np.argmin(norms))} is identically zero"
         )
-    gram = np.einsum("qki,qkj->ij", ops.conj(), ops)
-    deviation = float(np.abs(gram - np.eye(d)).max())
-    if deviation > completeness_tol:
-        raise CompletenessViolationError(deviation, completeness_tol)
 
     parts = tuple(tuple(int(i) for i in part) for part in partition)
     flat = [i for part in parts for i in part]

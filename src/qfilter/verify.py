@@ -47,7 +47,6 @@ __all__ = [
     "photonbox_structure_suite",
     "predictive_consistency_suite",
     "determinism_suite",
-    "error_model_check",
     "ALL_SUITES",
     "run_suites",
 ]
@@ -525,19 +524,6 @@ def determinism_suite(
         name="determinism",
         passed=blobs[0] == blobs[1],
         measured={"n_traj": n_traj, "bytes": len(blobs[0])},
-    )
-
-
-def error_model_check(eta_rows) -> CheckResult:
-    """Validate a raw detection-error matrix, surfacing the exact violation."""
-    try:
-        model = ErrorModel(np.asarray(eta_rows, dtype=np.float64))
-    except QFilterError as err:
-        return CheckResult("error_model", False, error=str(err))
-    return CheckResult(
-        name="error_model",
-        passed=True,
-        measured={"m_real": model.m_real, "m_ideal": model.m_ideal},
     )
 
 

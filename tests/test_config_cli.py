@@ -8,7 +8,6 @@ from qfilter import DensityOperator, KrausFamily, MeasurementStep, ErrorModel
 from qfilter.cli import main
 from qfilter.config import (
     build_steps,
-    config_to_dict,
     load_config,
     parse_config,
     resolve_states,
@@ -66,9 +65,8 @@ class TestConfig:
     def test_round_trip_identity(self):
         raw = json.loads((CONFIGS / "two_level.json").read_text())
         config = parse_config(raw)
-        assert config_to_dict(config) == raw
-        # serialize -> parse -> identical dict
-        assert parse_config(json.loads(json.dumps(raw))).raw == raw
+        # serialize -> parse -> identical config
+        assert parse_config(json.loads(json.dumps(raw))) == config
 
     def test_schema_violation_has_path(self, tmp_path):
         bad = {"model": {"type": "generic", "steps": []}, "initial": {}, "horizon": 1}
@@ -115,6 +113,24 @@ class TestConfig:
         assert steps[0].family is not steps[1].family
         with pytest.raises(ConfigError):
             build_steps(model, 3)  # schedule too short
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("psd", float("nan")), ("psd", float("inf")), ("psd", -1.0),
+         ("herm", 0.0), ("bogus", 1e-9)],
+    )
+    def test_bad_tolerance_in_config_rejected(self, tmp_path, name, value):
+        raw = json.loads((CONFIGS / "two_level.json").read_text())
+        raw["tolerances"] = {name: value}
+        path = tmp_path / "bad_tol.json"
+        path.write_text(json.dumps(raw))  # json writes NaN and Infinity
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
+
+    def test_photonbox_p_atom_list_builds(self):
+        model = {"type": "photonbox", "params": {"n_max": 3, "p_atom": [0.2, 0.7, 0.1]}}
+        steps = build_steps(model, 2)
+        assert steps[0].family.count == 21
 
 
 class TestCli:
@@ -255,6 +271,28 @@ class TestCli:
                 "--out", str(tmp_path / "o2"),
                 "--tolerance", "bogus=1",
             ]
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
+    def test_bad_tolerance_value_exit_code(self, tmp_path, value):
+        code = main(
+            [
+                "simulate",
+                "--config", str(CONFIGS / "two_level.json"),
+                "--out", str(tmp_path / "o"),
+                "--tolerance", f"psd={value}",
+            ]
+        )
+        assert code == 1
+
+    def test_empty_alpha_schedule_exit_code(self, tmp_path):
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["model"]["alpha"] = []
+        path = tmp_path / "empty_alpha.json"
+        path.write_text(json.dumps(raw))
+        code = main(
+            ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
         )
         assert code == 1
 

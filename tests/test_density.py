@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfilter import DensityOperator, Tolerances, fidelity, matrix_sqrt, validate_density
+from qfilter import DensityOperator, Tolerances, fidelity
+from qfilter.density import _sqrt_psd
 from qfilter.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
@@ -21,59 +22,54 @@ def random_hermitian_psd(rng, d, scale=1.0):
 
 class TestMatrixSqrt:
     def test_identity(self):
-        assert np.abs(matrix_sqrt(np.eye(2)) - np.eye(2)).max() < 1e-14
+        s, lam_max = _sqrt_psd(np.eye(2))
+        assert np.abs(s - np.eye(2)).max() < 1e-14
+        assert lam_max == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_analytic(self):
-        s = matrix_sqrt(np.diag([4.0, 9.0]))
+        s, lam_max = _sqrt_psd(np.diag([4.0, 9.0]))
         assert np.abs(s - np.diag([2.0, 3.0])).max() < 1e-14
+        assert lam_max == pytest.approx(9.0, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 8, 32])
     def test_reconstruction_random_psd(self, rng, d):
         m = random_hermitian_psd(rng, d)
-        s = matrix_sqrt(m)
+        s, _ = _sqrt_psd(m)
         bound = 1e-10 * d * np.abs(m).max()
         assert np.abs(s @ s - m).max() <= bound
         # result itself is Hermitian PSD
         assert np.abs(s - s.conj().T).max() < 1e-13
         assert np.linalg.eigvalsh(s)[0] > -1e-13
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            matrix_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NegativeEigenvalueError):
-            matrix_sqrt(np.diag([1.0, -0.5]))
-
     def test_clamps_tolerated_negatives(self):
-        s = matrix_sqrt(np.diag([1.0, -1e-12]))
+        s, _ = _sqrt_psd(np.diag([1.0, -1e-12]))
         assert np.abs(s - np.diag([1.0, 0.0])).max() < 1e-6
 
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
-        rho = validate_density(np.eye(2) / 2)
+        rho = DensityOperator(np.eye(2) / 2)
         assert rho.dim == 2
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-15
 
     def test_trace_deviation_reports_magnitude(self):
         with pytest.raises(TraceDeviationError) as err:
-            validate_density(np.diag([0.6, 0.5]))
+            DensityOperator(np.diag([0.6, 0.5]))
         assert err.value.deviation == pytest.approx(0.1, abs=1e-12)
 
     def test_negative_eigenvalue_detected(self):
         # eigenvalues 1.1 and -0.1 by the 2x2 trace/determinant formula
         with pytest.raises(NegativeEigenvalueError) as err:
-            validate_density([[0.5, 0.6], [0.6, 0.5]])
+            DensityOperator([[0.5, 0.6], [0.6, 0.5]])
         assert err.value.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
 
     def test_non_hermitian_detected(self):
         with pytest.raises(NonHermitianError):
-            validate_density([[0.5, 0.5], [0.0, 0.5]])
+            DensityOperator([[0.5, 0.5], [0.0, 0.5]])
 
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            validate_density([[np.nan, 0.0], [0.0, 1.0]])
+            DensityOperator([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_construction_cleans_drift(self, rng):
         rho = random_density_operator(rng, 3)
@@ -84,7 +80,7 @@ class TestValidateDensity:
 
     def test_tolerance_override(self):
         loose = Tolerances(trace=0.2)
-        rho = validate_density(np.diag([0.6, 0.5]), loose)
+        rho = DensityOperator(np.diag([0.6, 0.5]), loose)
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-15  # renormalized
 
     def test_matrix_is_readonly(self, mixed_qubit):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfilter import ErrorModel, sample_real_outcome, validate_error_model
+from qfilter import ErrorModel, sample_real_outcome
 from qfilter.errormodel import inverse_cdf_index
 from qfilter.errors import (
     ColumnSumDeviationError,
@@ -15,18 +15,18 @@ from qfilter.photonbox import PhotonBoxParams, detection_error_model
 
 class TestValidation:
     def test_identity_is_valid(self):
-        model = validate_error_model(np.eye(4))
+        model = ErrorModel(np.eye(4))
         assert model.m_real == model.m_ideal == 4
 
     def test_column_sum_deviation_named(self):
         with pytest.raises(ColumnSumDeviationError) as err:
-            validate_error_model([[0.9], [0.2]])
+            ErrorModel([[0.9], [0.2]])
         assert err.value.col == 0
         assert err.value.deviation == pytest.approx(0.1, abs=1e-12)
 
     def test_negative_entry_named(self):
         with pytest.raises(NegativeEntryError) as err:
-            validate_error_model([[1.1], [-0.1]])
+            ErrorModel([[1.1], [-0.1]])
         assert (err.value.row, err.value.col) == (1, 0)
 
     def test_detection_model_instance_columns(self):
@@ -52,7 +52,7 @@ class TestValidation:
         eta /= eta.sum(axis=0)
         eta[-1, :] = 1.0 - eta[:-1, :].sum(axis=0)
         if not corrupt:
-            validate_error_model(eta)  # must not raise
+            ErrorModel(eta)  # must not raise
             return
         bad = eta.copy()
         p = int(rng.integers(m_real))
@@ -60,11 +60,11 @@ class TestValidation:
         if rng.random() < 0.5:
             bad[p, q] += 1e-6  # break the column sum
             with pytest.raises(ColumnSumDeviationError):
-                validate_error_model(bad)
+                ErrorModel(bad)
         else:
             bad[p, q] = -1e-9  # negative entry (checked first)
             with pytest.raises((NegativeEntryError, ColumnSumDeviationError)):
-                validate_error_model(bad)
+                ErrorModel(bad)
 
 
 class TestSampling:

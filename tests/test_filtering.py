@@ -10,7 +10,6 @@ from qfilter import (
     KrausFamily,
     MeasurementStep,
     apply_jump,
-    coarse_kraus,
     filter_update,
     outcome_probabilities,
     run_filter,
@@ -21,6 +20,7 @@ from qfilter.errors import (
     RegularizationWarning,
     ZeroEvidenceError,
 )
+from qfilter.kraus import weighted_image
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.stability import (
     random_density_operator,
@@ -29,51 +29,59 @@ from qfilter.stability import (
 
 
 class TestCoarseKraus:
+    # The update numerator for reading p is the coarse-grained map
+    # sum_q eta[p, q] M_q rho M_q^dag, i.e. weighted_image with row p of eta.
+
     def test_identity_error_model_isolates_one_operator(self, projective_family):
         step = MeasurementStep(projective_family, ErrorModel.identity(2))
-        ops = coarse_kraus(step, 0)
-        assert np.abs(ops[0] - projective_family.operators[0]).max() < 1e-15
-        assert np.abs(ops[1]).max() == 0.0
+        rho = np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex)
+        image = weighted_image(step.family, step.errors.eta[0], rho)
+        m0 = projective_family.operators[0]
+        assert np.abs(image - m0 @ rho @ m0.conj().T).max() < 1e-15
 
     def test_uniform_error_model_scales(self, projective_family):
         step = MeasurementStep(
             projective_family, ErrorModel(np.full((2, 2), 0.5))
         )
-        ops = coarse_kraus(step, 1)
-        for q in range(2):
-            expected = projective_family.operators[q] / np.sqrt(2)
-            assert np.abs(ops[q] - expected).max() < 1e-15
+        rho = np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex)
+        image = weighted_image(step.family, step.errors.eta[1], rho)
+        expected = sum(0.5 * m @ rho @ m.conj().T for m in projective_family.operators)
+        assert np.abs(image - expected).max() < 1e-15
 
     def test_photonbox_no_detection_column_scaling(self):
         params = PhotonBoxParams()
         step = MeasurementStep(
             composite_kraus(params, 0.0), detection_error_model(params)
         )
-        ops = coarse_kraus(step, 0)  # detector reading "no"
-        kraus = step.family.operators
-        labels = step.family.labels
-        for idx, label in enumerate(labels):
+        eta_row = step.errors.eta[0]  # detector reading "no"
+        for idx, label in enumerate(step.family.labels):
             if label.startswith("(no,"):
                 # empty sample is always "detected" as nothing: weight 1
-                assert np.abs(ops[idx] - kraus[idx]).max() < 1e-15
+                assert eta_row[idx] == 1.0
             elif label.startswith("(g,"):
-                scale = np.sqrt(1.0 - params.detection_efficiency)
-                assert np.abs(ops[idx] - scale * kraus[idx]).max() < 1e-15
+                scale = 1.0 - params.detection_efficiency
+                assert eta_row[idx] == pytest.approx(scale, abs=1e-15)
+        rho = DensityOperator.basis_state(params.dim, 1).matrix
+        expected = sum(
+            w * m @ rho @ m.conj().T for w, m in zip(eta_row, step.family.operators)
+        )
+        image = weighted_image(step.family, eta_row, rho)
+        assert np.abs(image - expected).max() < 1e-14
 
     def test_partition_preserves_total(self, rng):
         step = random_measurement_step(rng, 3, m_ideal=3, m_real=4)
-        total = np.zeros((3, 3), dtype=complex)
-        for p in range(step.m_real):
-            for op in coarse_kraus(step, p):
-                total += op.conj().T @ op
-        direct = np.einsum(
-            "qki,qkj->ij", step.family.operators.conj(), step.family.operators
+        rho = random_density_operator(rng, 3).matrix
+        total = sum(
+            weighted_image(step.family, step.errors.eta[p], rho)
+            for p in range(step.m_real)
         )
+        direct = weighted_image(step.family, np.ones(step.m_ideal), rho)
         assert np.abs(total - direct).max() < 1e-12
+        assert np.trace(total).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_index_checked(self, two_level_step):
+    def test_index_checked(self, two_level_step, mixed_qubit):
         with pytest.raises(IndexOutOfRangeError):
-            coarse_kraus(two_level_step, 2)
+            filter_update(FilterState(estimate=mixed_qubit), two_level_step, 2)
 
 
 class TestFilterUpdate:
@@ -93,7 +101,6 @@ class TestFilterUpdate:
         # eta = [[0.9, 0.1], [0.1, 0.9]]: numerator diag(0.45, 0.05)
         state = filter_update(FilterState(estimate=mixed_qubit), two_level_step, 0)
         assert np.abs(state.estimate.matrix - np.diag([0.9, 0.1])).max() < 1e-14
-        assert state.step_index == 2
         assert not state.regularized
 
     def test_full_rank_never_regularizes(self, rng):
@@ -120,27 +127,17 @@ class TestFilterUpdate:
         with pytest.raises(ZeroEvidenceError):
             filter_update(FilterState(estimate=mixed_qubit), step, 1)
 
-    def test_log_records_denominator(self, two_level_step, mixed_qubit):
-        state = FilterState(estimate=mixed_qubit, log=())
-        state = filter_update(state, two_level_step, 0)
-        state = filter_update(state, two_level_step, 1)
-        assert len(state.log) == 2
-        (p0, d0), (p1, d1) = state.log
-        assert (p0, p1) == (0, 1)
-        assert d0 == pytest.approx(0.5, abs=1e-14)
-
     def test_denominator_matches_predicted_probability(self, rng):
-        # exact-completeness families: the logged denominator equals the
-        # renormalized predicted component to 1e-12
+        # exact-completeness families: the update's denominator, the trace
+        # of its numerator, equals the renormalized predicted component
         for _ in range(20):
             d = int(rng.integers(2, 5))
             step = random_measurement_step(rng, d, 3, 4)
             rho = random_density_operator(rng, d)
-            state = FilterState(estimate=rho, log=())
-            predicted = outcome_probabilities(state, step)
+            predicted = outcome_probabilities(FilterState(estimate=rho), step)
             p = int(rng.integers(step.m_real))
-            updated = filter_update(state, step, p)
-            assert updated.log[-1][1] == pytest.approx(predicted[p], abs=1e-12)
+            numerator = weighted_image(step.family, step.errors.eta[p], rho.matrix)
+            assert np.trace(numerator).real == pytest.approx(predicted[p], abs=1e-12)
 
 
 class TestOutcomeProbabilities:
@@ -170,7 +167,6 @@ class TestRunFilter:
         states = run_filter(mixed_qubit, [], [])
         assert len(states) == 1
         assert states[0].estimate is mixed_qubit
-        assert states[0].step_index == 1
 
     def test_matches_oracle_on_random_instance(self, rng):
         from qfilter import direct_estimate

@@ -138,10 +138,18 @@ class TestCompositeKraus:
         idx = family.labels.index("(ge,+)")
         assert np.abs(family.operators[idx] - expected).max() == 0.0
 
+    def test_p_atom_list_is_coerced(self):
+        # a JSON list must give the same hashable, cached family as a tuple
+        params = PhotonBoxParams(p_atom=[0.2, 0.7, 0.1])
+        assert params == PhotonBoxParams(p_atom=(0.2, 0.7, 0.1))
+        assert composite_kraus(params) is composite_kraus(PhotonBoxParams())
+
     def test_family_deficit_second_order(self):
         params = PhotonBoxParams()
         family = composite_kraus(params, 0.0)
-        assert family.completeness_deficit() <= 30.0 * params.decoherence_strength**2
+        gram = np.einsum("qki,qkj->ij", family.operators.conj(), family.operators)
+        deficit = float(np.abs(gram - np.eye(family.dim)).max())
+        assert deficit <= 30.0 * params.decoherence_strength**2
 
     def test_dominated_by_no_jump_at_small_decoherence(self):
         params = PhotonBoxParams(

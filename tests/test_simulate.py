@@ -12,7 +12,6 @@ from qfilter import (
     run_ensemble,
     run_trajectory,
     step_truth,
-    validate_density,
 )
 from qfilter.errors import ValidationError
 from qfilter import serialize
@@ -99,7 +98,6 @@ class TestRunTrajectory:
         assert len(series) == 13
         assert np.all((series >= 0.0) & (series <= 1.0))
         assert record.truth_matched_filter == "optimal"
-        assert record.shared_outcome_stream
 
     def test_recorded_states_validate(self, two_level_step, rng):
         rho = random_density_operator(rng, 2)
@@ -113,9 +111,9 @@ class TestRunTrajectory:
         )
         record = run_trajectory(config)
         for state in record.true_states:
-            validate_density(state.matrix)
+            DensityOperator(state.matrix)
         for state in record.filter_states["optimal"]:
-            validate_density(state.matrix)
+            DensityOperator(state.matrix)
 
     def test_step_callback_receives_feedback(self, two_level_step):
         seen = []

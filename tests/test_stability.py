@@ -22,7 +22,6 @@ from qfilter.errors import (
     SubmartingaleViolationError,
     ValidationError,
 )
-from qfilter.simulate import TrajectoryRecord
 from qfilter.stability import (
     random_density_operator,
     random_error_model,
@@ -136,30 +135,6 @@ class TestEnsembleReport:
         assert not report.asserted
         assert "NOT asserted" in report.asserted_reason
         assert not report.passed
-
-    def test_negative_control_shuffled_streams(self, two_level_step):
-        # fidelity series stitched across different outcome streams carry no
-        # shared-stream guarantee; synthetic records say so explicitly
-        records = self._ensemble(two_level_step, 120)
-        shuffled = []
-        for i, r in enumerate(records):
-            other = records[(i + 1) % len(records)]
-            shuffled.append(
-                TrajectoryRecord(
-                    ideal_outcomes=r.ideal_outcomes,
-                    real_outcomes=other.real_outcomes,
-                    fidelities=r.fidelities,
-                    filter_names=r.filter_names,
-                    true_initial=r.true_initial,
-                    filter_initials=r.filter_initials,
-                    steps=r.steps,
-                    truth_matched_filter=r.truth_matched_filter,
-                    shared_outcome_stream=False,
-                )
-            )
-        report = ensemble_submartingale(shuffled)
-        assert not report.asserted
-        assert "shared outcome stream" in report.asserted_reason
 
 
 class TestFidelityInequality:
