@@ -31,6 +31,7 @@ from .config import (
     build_steps,
     load_config,
     parse_tolerances,
+    photonbox_params,
     resolve_states,
 )
 from .density import Tolerances
@@ -346,7 +347,7 @@ def cmd_photonbox_export(args) -> int:
         config = _prepare(args)
         if config.model.get("type") != "photonbox":
             raise ConfigError("photonbox-export needs a photonbox model config")
-        params = PhotonBoxParams(**config.model.get("params", {}))
+        params = photonbox_params(config.model)
         out = _out_dir(config)
     else:
         params = PhotonBoxParams()

@@ -33,6 +33,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "parse_tolerances",
+    "photonbox_params",
     "build_steps",
     "build_state",
     "resolve_states",
@@ -241,6 +242,10 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would check CONFIG_SCHEMA against the
+# metaschema on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -263,9 +268,8 @@ class ExperimentConfig:
 
 def parse_config(data: Dict) -> ExperimentConfig:
     """Schema-validate a config dict and normalize it."""
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if err is not None:
         path = "$" + "".join(f"[{p!r}]" for p in err.absolute_path)
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
 
@@ -331,10 +335,17 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
         raise ConfigError(f"{path}: {err}") from err
 
 
+def photonbox_params(model: Dict) -> PhotonBoxParams:
+    """The photon-box parameters of a model block; bad values are ConfigError."""
+    try:
+        return PhotonBoxParams(**model.get("params", {}))
+    except ValidationError as err:
+        raise ConfigError(f"photonbox params invalid: {err}") from err
+
+
 def _model_dim(model: Dict) -> int:
     if model["type"] == "photonbox":
-        params = PhotonBoxParams(**model.get("params", {}))
-        return params.dim
+        return photonbox_params(model).dim
     first = model["steps"][0]["kraus"]["operators"][0]
     return int(first["rows"])
 
@@ -364,7 +375,7 @@ def build_state(spec: Dict, dim: int, tolerances: Tolerances) -> DensityOperator
 def build_steps(model: Dict, horizon: int) -> List[MeasurementStep]:
     """Materialize the per-step measurement models for a horizon."""
     if model["type"] == "photonbox":
-        params = PhotonBoxParams(**model.get("params", {}))
+        params = photonbox_params(model)
         errors = detection_error_model(params)
         alpha = model.get("alpha", [0.0, 0.0])
         if isinstance(alpha[0], (list, tuple)):

@@ -50,6 +50,8 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+_EPS = np.finfo(np.float64).eps
+
 
 class DensityOperator:
     """Validated quantum state (Hermitian, PSD, unit trace).
@@ -63,28 +65,18 @@ class DensityOperator:
 
     def __init__(self, matrix, tolerances: Tolerances = DEFAULT_TOLERANCES):
         m = np.asarray(matrix, dtype=np.complex128)
-        tol = tolerances
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(
                 f"density operator must be square, got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("matrix contains NaN or Inf entries")
-        mt = m.conj().T
-        dev_h = float(np.abs(m - mt).max()) if m.size else 0.0
-        if dev_h > tol.herm:
-            raise NonHermitianError(dev_h, tol.herm)
-        clean = (m + mt) / 2.0
-        tr = float(clean.trace().real)
-        dev_tr = complex(m.trace())
-        if abs(dev_tr.real - 1.0) > tol.trace or abs(dev_tr.imag) > tol.trace:
-            raise TraceDeviationError(dev_tr.real - 1.0, tol.trace)
-        lam_min = float(np.linalg.eigvalsh(clean)[0])
-        if lam_min < -tol.psd:
-            raise NegativeEigenvalueError(lam_min, tol.psd)
-        clean /= tr
-        clean.flags.writeable = False
-        object.__setattr__(self, "matrix", clean)
+        object.__setattr__(self, "matrix", _validated(m, tolerances))
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a read-only matrix that ``_validated`` returned, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        return self
 
     @property
     def dim(self) -> int:
@@ -124,16 +116,56 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Square root of an already-validated Hermitian PSD matrix.
+def _validated(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Check a matrix or a stack (..., d, d) of them as density operators.
+
+    Finite entries, Hermiticity, unit trace and PSD (one stacked eigvalsh)
+    within ``tol``; the first failing matrix in C order raises. Returns the
+    re-symmetrized, trace-renormalized stack, read-only.
+    """
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix contains NaN or Inf entries")
+    mt = m.swapaxes(-1, -2).conj()
+    work = m - mt
+    if m.size and np.abs(work).max() > tol.herm:
+        dev_h = np.abs(work).max(axis=(-2, -1))
+        raise NonHermitianError(dev_h[dev_h > tol.herm].flat[0], tol.herm)
+    clean = np.add(m, mt, out=work)
+    clean /= 2.0
+    # clean has m's real diagonal, so this is also clean's trace
+    tr = m.trace(axis1=-2, axis2=-1)
+    dev = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
+    if dev.max() > tol.trace:
+        raise TraceDeviationError(tr.real[dev > tol.trace].flat[0] - 1.0, tol.trace)
+    lam_min = np.linalg.eigvalsh(clean)[..., 0]
+    if lam_min.min() < -tol.psd:
+        raise NegativeEigenvalueError(lam_min[lam_min < -tol.psd].flat[0], tol.psd)
+    clean /= tr.real[..., None, None]
+    clean.flags.writeable = False
+    return clean
+
+
+def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Square root of an already-validated Hermitian PSD matrix (or stack).
 
     Eigenvalues at or below d * eps * lambda_max are eigensolver noise on an
     exact zero and are dropped. Returns the root and lambda_max.
     """
     w, v = np.linalg.eigh(hermitian)
-    lam_max = float(w[-1])
-    cut = len(w) * np.finfo(np.float64).eps * lam_max
-    return (v * np.sqrt(np.where(w > cut, w, 0.0))) @ v.conj().T, lam_max
+    lam_max = w[..., -1]
+    cut = w.shape[-1] * _EPS * lam_max
+    root = np.sqrt(np.where(w > cut[..., None], w, 0.0))
+    return (v * root[..., None, :]) @ v.swapaxes(-1, -2).conj(), lam_max
+
+
+def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``fidelity`` of each pair of matching matrices in two stacks (..., d, d)."""
+    s, lam_max = _sqrt_psd(rho)
+    inner = s @ sigma @ s
+    w = np.linalg.eigvalsh((inner + inner.swapaxes(-1, -2).conj()) / 2.0)
+    cut = w.shape[-1] * _EPS * lam_max * np.abs(sigma).sum(axis=-1).max(axis=-1)
+    root_sum = np.sqrt(np.where(w > cut[..., None], w, 0.0)).sum(axis=-1)
+    return np.minimum(root_sum * root_sum, 1.0)
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -151,12 +183,4 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise DimensionMismatchError(
             f"fidelity needs equal dimensions, got {rho.dim} and {sigma.dim}"
         )
-    s, lam_max = _sqrt_psd(rho.matrix)
-    inner = s @ sigma.matrix @ s
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    cut = (
-        len(w) * np.finfo(np.float64).eps * lam_max
-        * float(np.linalg.norm(sigma.matrix, np.inf))
-    )
-    root_sum = float(np.sqrt(w[w > cut]).sum())
-    return min(1.0, max(0.0, root_sum * root_sum))
+    return float(_fidelities(rho.matrix, sigma.matrix))

@@ -81,6 +81,18 @@ def inverse_cdf_index(probabilities: np.ndarray, u: float) -> int:
     return last
 
 
+def inverse_cdf_rows(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``inverse_cdf_index`` of each row of probabilities (N, k) at u[i].
+
+    cumsum adds in index order, as the scalar walk does, so every index is
+    the scalar walk's, the residual-mass rule included.
+    """
+    below = u[:, None] < probabilities.cumsum(axis=1)
+    return np.where(
+        below.any(axis=1), below.argmax(axis=1), probabilities.shape[1] - 1
+    )
+
+
 def sample_real_outcome(model: ErrorModel, q: int, rng: np.random.Generator) -> int:
     """Draw the detector outcome p from column q of eta.
 

@@ -119,39 +119,80 @@ def _check_dim(family: KrausFamily, rho: DensityOperator) -> None:
         )
 
 
+def _weighted_images(
+    family: KrausFamily,
+    weights: np.ndarray,
+    stack: np.ndarray,
+    images: np.ndarray,
+    weighted: np.ndarray,
+) -> np.ndarray:
+    """sum_q weights[n, q] M_q rho_n M_q^dag for a stack (N, d, d), as (N*d, d).
+
+    Two gemms through caller-owned workspaces of N*m*d*d entries each: the
+    images M_q rho_n of the states side by side, (m*d, d) @ (d, N*d), then
+    their weighted rearrangement (N*d, m*d) @ (m*d, d).
+    """
+    m, d = family.count, family.dim
+    n = stack.shape[0]
+    images = images.reshape(m * d, n * d)
+    np.matmul(family._flat, stack.transpose(1, 0, 2).reshape(d, n * d), out=images)
+    weighted = weighted.reshape(n, d, m, d)
+    np.multiply(
+        images.reshape(m, d, n, d).transpose(2, 1, 0, 3),
+        weights.reshape(n, 1, m, 1),
+        out=weighted,
+    )
+    return weighted.reshape(n * d, m * d) @ family._adjoints_flat
+
+
 def weighted_image(
     family: KrausFamily, weights: np.ndarray, rho_matrix: np.ndarray
 ) -> np.ndarray:
     """sum_q weights[q] M_q rho M_q^dag as two gemms over the stacked family."""
-    m = family.count
-    d = family.dim
-    blocks = (family._flat @ rho_matrix).reshape(m, d, d)
-    blocks *= weights[:, None, None]
-    side_by_side = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(d, m * d)
-    return side_by_side @ family._adjoints_flat
+    size = family.count * family.dim**2
+    return _weighted_images(
+        family,
+        np.reshape(weights, (1, -1)),
+        rho_matrix[None],
+        np.empty(size, dtype=np.complex128),
+        np.empty(size, dtype=np.complex128),
+    )
+
+
+def _effects(family: KrausFamily) -> np.ndarray:
+    """The effects E_q = M_q^dag M_q, stacked (m, d, d)."""
+    m, d = family.count, family.dim
+    return family._adjoints_flat.reshape(m, d, d) @ family.operators
+
+
+def _traces(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """tr(M_q rho_n M_q^dag) = tr(E_q rho_n) for a stack (..., d, d), as (N, m)."""
+    m, d = effects.shape[:2]
+    return (stack.reshape(-1, d * d).conj() @ effects.reshape(m, d * d).T).real
 
 
 def raw_jump_probabilities(family: KrausFamily, rho: DensityOperator) -> np.ndarray:
     """tr(M_q rho M_q^dag) per q, with no clamping or renormalization."""
     _check_dim(family, rho)
-    m, d = family.count, family.dim
-    m_rho = (family._flat @ rho.matrix).reshape(m, d, d)
-    return (m_rho * family.operators.conj()).sum(axis=(1, 2)).real
+    return _traces(_effects(family), rho.matrix)[0]
 
 
 def _clamp_and_renormalize(
     probs: np.ndarray, tolerance: float
 ) -> np.ndarray:
-    total = float(probs.sum())
-    if abs(total - 1.0) > tolerance + 1e-12:
-        raise ProbabilityDeficitError(total - 1.0, tolerance)
-    if probs.min() < -PROB_FLOOR:
+    """Clamp and renormalize a probability vector, or each row of a stack."""
+    deviation = probs.sum(axis=-1) - 1.0
+    if np.abs(deviation).max() > tolerance + 1e-12:
+        first = deviation[np.abs(deviation) > tolerance + 1e-12].flat[0]
+        raise ProbabilityDeficitError(float(first), tolerance)
+    lowest = float(probs.min())
+    if lowest < -PROB_FLOOR:
         raise ValidationError(
-            f"probability component {probs.min():.3e} below -{PROB_FLOOR:.0e}; "
+            f"probability component {lowest:.3e} below -{PROB_FLOOR:.0e}; "
             "input state is likely not PSD"
         )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def jump_probabilities(family: KrausFamily, rho: DensityOperator) -> np.ndarray:

@@ -4,23 +4,42 @@ Each step: the ideal jump q is sampled from the true state's jump
 probabilities and applied to it; the detector reading p is then drawn from
 column q of the step's error matrix; finally every configured filter
 consumes the same p. Per-trajectory generators are spawned from the base
-seed with numpy's SeedSequence, so ensembles are bit-exactly reproducible
-and trivially parallelizable (the runner here stays sequential to keep
-output byte-identical unconditionally).
+seed with numpy's SeedSequence, so ensembles are bit-exactly reproducible.
+
+One engine advances a block of trajectories together through each step:
+the jump probabilities, the sampled jumps and each filter's update are a
+few stacked gemms over the block, and every produced state is validated in
+one stacked call. Each trajectory draws its uniforms from its own
+generator in the serial order, so its outcome stream does not depend on
+the block it runs in; its states and fidelities agree with a block of one
+to rounding. A callable StepProvider (feedback) runs in blocks of one,
+because each trajectory's next step depends on its own estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances, fidelity
-from .errormodel import inverse_cdf_index, sample_real_outcome
-from .errors import DimensionMismatchError, ValidationError
-from .filtering import FilterState, MeasurementStep, filter_update, outcome_probabilities
-from .kraus import apply_jump, jump_probabilities
+from .density import (
+    DEFAULT_TOLERANCES,
+    DensityOperator,
+    Tolerances,
+    _fidelities,
+    _validated,
+)
+from .errormodel import inverse_cdf_rows
+from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityJumpError
+from .filtering import FilterState, MeasurementStep, filter_update
+from .kraus import (
+    PROB_FLOOR,
+    _clamp_and_renormalize,
+    _effects,
+    _traces,
+    _weighted_images,
+)
 
 __all__ = [
     "StepProvider",
@@ -110,6 +129,60 @@ class TrajectoryRecord:
         return len(self.real_outcomes)
 
 
+# Byte budget of one block's Kraus-image workspace: the (m*d, N*d) images of
+# N states and their weighted (N*d, m*d) rearrangement, 32*m*d*d bytes per
+# trajectory.
+BLOCK_BYTES = 1 << 19
+
+
+def _block_size(config: TrajectoryConfig) -> int:
+    """Trajectories per block: one under a callable (feedback) provider."""
+    provider = config.steps
+    if isinstance(provider, MeasurementStep):
+        steps = [provider]
+    elif callable(provider):
+        return 1
+    else:
+        steps = provider[: config.horizon]
+    m = max(step.m_ideal for step in steps)
+    d = config.true_initial.dim
+    return max(1, BLOCK_BYTES // (32 * m * d * d))
+
+
+def _advance_truth(
+    step: MeasurementStep,
+    effects: np.ndarray,
+    truth: np.ndarray,
+    uniforms: np.ndarray,
+    out: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Jumps q and detector readings p of a stack of true states (N, d, d).
+
+    uniforms (N, 2) holds each trajectory's draw for q, then for p. The
+    jumped states M_q rho M_q^dag / tr(...) go to out, not yet validated.
+    """
+    family = step.family
+    m, d = family.count, family.dim
+    if d != truth.shape[-1]:
+        raise DimensionMismatchError(
+            f"family dimension {d} != state dimension {truth.shape[-1]}"
+        )
+    probs = _clamp_and_renormalize(
+        _traces(effects, truth), family.completeness_tolerance
+    )
+    q = inverse_cdf_rows(probs, uniforms[:, 0])
+    jumped = family.operators[q] @ truth @ family._adjoints_flat.reshape(m, d, d)[q]
+    prob = jumped.trace(axis1=1, axis2=2).real
+    low = prob <= PROB_FLOOR
+    if low.any():
+        i = int(low.argmax())
+        raise ZeroProbabilityJumpError(
+            f"jump {q[i]} has probability {prob[i]:.3e} <= {PROB_FLOOR:.0e}"
+        )
+    np.divide(jumped, prob[:, None, None], out=out)
+    return q, inverse_cdf_rows(step.errors.eta.T[q], uniforms[:, 1])
+
+
 def step_truth(
     rho_true: DensityOperator,
     step: MeasurementStep,
@@ -122,11 +195,11 @@ def step_truth(
     consuming one uniform, so trajectories are reproducible under a fixed
     generator state.
     """
-    probs = jump_probabilities(step.family, rho_true)
-    q = inverse_cdf_index(probs, rng.random())
-    rho_next = apply_jump(step.family, q, rho_true, tolerances)
-    p = sample_real_outcome(step.errors, q, rng)
-    return q, p, rho_next
+    jumped = np.empty((1,) + rho_true.matrix.shape, dtype=np.complex128)
+    q, p = _advance_truth(
+        step, _effects(step.family), rho_true.matrix[None], rng.random((1, 2)), jumped
+    )
+    return int(q[0]), int(p[0]), DensityOperator(jumped[0], tolerances)
 
 
 def _resolve_step(
@@ -148,94 +221,142 @@ def _find_truth_matched(
     return None
 
 
+def _update_filters(
+    step: MeasurementStep,
+    estimates: np.ndarray,
+    p: np.ndarray,
+    tolerances: Tolerances,
+    work: np.ndarray,
+    out: np.ndarray,
+) -> List[Tuple[int, int]]:
+    """Write the filter updates of a stack (F, N, d, d) by readings p to out.
+
+    ``work`` holds the two Kraus-image workspaces. The updates are
+    re-symmetrized, not yet validated. Returns the (filter, row) pairs whose
+    denominator was at or below PROB_FLOOR: those rows went through
+    ``filter_update`` (its shrinking-epsilon branch) one at a time.
+    """
+    n, d = estimates.shape[1], estimates.shape[-1]
+    half = work.size // 2
+    weights = step.errors.eta[p]
+    for f, stack in enumerate(estimates):
+        out[f] = _weighted_images(
+            step.family, weights, stack, work[:half], work[half:]
+        ).reshape(n, d, d)
+    denominators = out.trace(axis1=-2, axis2=-1).real
+    low = denominators <= PROB_FLOOR
+    out /= np.where(low, 1.0, denominators)[..., None, None]
+    regularized = [(int(f), int(i)) for f, i in np.argwhere(low)] if low.any() else []
+    for f, i in regularized:
+        state = FilterState(estimate=DensityOperator._trusted(estimates[f, i]))
+        out[f, i] = filter_update(state, step, int(p[i]), tolerances).estimate.matrix
+    out += out.swapaxes(-1, -2).conj()
+    out /= 2.0
+    return regularized
+
+
+def _run_block(
+    config: TrajectoryConfig, seeds: Sequence[Union[int, np.random.SeedSequence]]
+) -> List[TrajectoryRecord]:
+    """Run one block of trajectories, trajectory i seeded by seeds[i]."""
+    n = len(seeds)
+    horizon = config.horizon
+    names = tuple(config.filter_initials)
+    d = config.true_initial.dim
+    # Two uniforms per step and trajectory, in the order a serial run draws.
+    uniforms = np.stack(
+        [np.random.default_rng(seed).random(2 * horizon) for seed in seeds]
+    ).reshape(n, horizon, 2)
+
+    # states[0] is the truth, states[1 + f] filter f; each (N, d, d).
+    states = np.empty((1 + len(names), n, d, d), dtype=np.complex128)
+    states[0] = config.true_initial.matrix
+    for f, name in enumerate(names):
+        states[1 + f] = config.filter_initials[name].matrix
+    states.flags.writeable = False
+    slots = [(1 + names.index(a), 1 + names.index(b)) for a, b in config.fidelity_pairs]
+    # Per step: the fidelities (N,) of each pair, and the outcomes q and p.
+    fids = [[_fidelities(states[a], states[b]) for a, b in slots]]
+    outcomes = []
+    flagged: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
+    used_steps: List[MeasurementStep] = []
+    history: List[np.ndarray] = []
+    predictions: List[np.ndarray] = []
+    work = np.empty(0, dtype=np.complex128)
+
+    for k in range(1, horizon + 1):
+        step = _resolve_step(config.steps, k, DensityOperator._trusted(states[1, 0]))
+        used_steps.append(step)
+        family = step.family
+        effects = _effects(family)
+        produced = np.empty_like(states)
+        q, p = _advance_truth(step, effects, states[0], uniforms[:, k - 1], produced[0])
+        if config.record_predictions:
+            raw = _traces(effects, states[1:]) @ step.errors.eta.T
+            predictions.append(
+                _clamp_and_renormalize(
+                    raw, family.completeness_tolerance
+                ).reshape(len(names), n, -1)
+            )
+        need = 2 * n * family.count * d * d
+        if work.size < need:
+            work = np.empty(need, dtype=np.complex128)
+        regularized = _update_filters(
+            step, states[1:], p, config.tolerances, work[:need], produced[1:]
+        )
+        states = _validated(produced, config.tolerances)
+        outcomes.append((q, p))
+        for f, i in regularized:
+            flagged[i].append((k, names[f]))
+        fids.append([_fidelities(states[a], states[b]) for a, b in slots])
+        if config.store_states:
+            history.append(states)
+
+    matched = _find_truth_matched(config.true_initial, config.filter_initials)
+    steps = tuple(used_steps)
+    # (2, N, horizon) and (pairs, N, horizon + 1)
+    outcomes = np.asarray(outcomes, dtype=np.int64).transpose(1, 2, 0)
+    fids = np.asarray(fids, dtype=np.float64).reshape(horizon + 1, len(slots), n)
+    fids = fids.transpose(1, 2, 0)
+
+    def stored(slot: int, i: int) -> Tuple[DensityOperator, ...]:
+        return tuple(DensityOperator._trusted(s[slot, i]) for s in history)
+
+    return [
+        TrajectoryRecord(
+            ideal_outcomes=outcomes[0, i].copy(),
+            real_outcomes=outcomes[1, i].copy(),
+            fidelities={
+                pair: fids[j, i].copy() for j, pair in enumerate(config.fidelity_pairs)
+            },
+            filter_names=names,
+            true_initial=config.true_initial,
+            filter_initials=dict(config.filter_initials),
+            steps=steps,
+            truth_matched_filter=matched,
+            true_states=stored(0, i) if config.store_states else None,
+            filter_states=(
+                {name: stored(1 + f, i) for f, name in enumerate(names)}
+                if config.store_states
+                else None
+            ),
+            predicted_probabilities=(
+                {
+                    name: np.asarray([rows[f, i] for rows in predictions])
+                    for f, name in enumerate(names)
+                }
+                if config.record_predictions
+                else None
+            ),
+            flagged_steps=tuple(flagged[i]),
+        )
+        for i in range(n)
+    ]
+
+
 def run_trajectory(config: TrajectoryConfig) -> TrajectoryRecord:
     """Simulate one trajectory: truth, detector, and all configured filters."""
-    rng = np.random.default_rng(config.seed)
-    names = tuple(config.filter_initials)
-    feedback_name = names[0]
-
-    filters: Dict[str, FilterState] = {
-        name: FilterState(estimate=rho)
-        for name, rho in config.filter_initials.items()
-    }
-    rho_true = config.true_initial
-
-    fid_series: Dict[Tuple[str, str], List[float]] = {
-        pair: [
-            fidelity(
-                config.filter_initials[pair[0]], config.filter_initials[pair[1]]
-            )
-        ]
-        for pair in config.fidelity_pairs
-    }
-
-    ideal: List[int] = []
-    real: List[int] = []
-    used_steps: List[MeasurementStep] = []
-    flagged: List[Tuple[int, str]] = []
-    true_states: Optional[List[DensityOperator]] = [] if config.store_states else None
-    filter_states: Optional[Dict[str, List[DensityOperator]]] = (
-        {name: [] for name in names} if config.store_states else None
-    )
-    predictions: Optional[Dict[str, List[np.ndarray]]] = (
-        {name: [] for name in names} if config.record_predictions else None
-    )
-
-    for k in range(1, config.horizon + 1):
-        step = _resolve_step(config.steps, k, filters[feedback_name].estimate)
-        used_steps.append(step)
-
-        if predictions is not None:
-            for name in names:
-                predictions[name].append(outcome_probabilities(filters[name], step))
-
-        q, p, rho_true = step_truth(rho_true, step, rng, config.tolerances)
-        ideal.append(q)
-        real.append(p)
-
-        for name in names:
-            updated = filter_update(filters[name], step, p, config.tolerances)
-            if updated.regularized:
-                flagged.append((k, name))
-            filters[name] = updated
-
-        for pair in config.fidelity_pairs:
-            fid_series[pair].append(
-                fidelity(filters[pair[0]].estimate, filters[pair[1]].estimate)
-            )
-
-        if true_states is not None:
-            true_states.append(rho_true)
-            for name in names:
-                filter_states[name].append(filters[name].estimate)
-
-    return TrajectoryRecord(
-        ideal_outcomes=np.asarray(ideal, dtype=np.int64),
-        real_outcomes=np.asarray(real, dtype=np.int64),
-        fidelities={
-            pair: np.asarray(series, dtype=np.float64)
-            for pair, series in fid_series.items()
-        },
-        filter_names=names,
-        true_initial=config.true_initial,
-        filter_initials=dict(config.filter_initials),
-        steps=tuple(used_steps),
-        truth_matched_filter=_find_truth_matched(
-            config.true_initial, config.filter_initials
-        ),
-        true_states=tuple(true_states) if true_states is not None else None,
-        filter_states=(
-            {name: tuple(states) for name, states in filter_states.items()}
-            if filter_states is not None
-            else None
-        ),
-        predicted_probabilities=(
-            {name: np.asarray(rows) for name, rows in predictions.items()}
-            if predictions is not None
-            else None
-        ),
-        flagged_steps=tuple(flagged),
-    )
+    return _run_block(config, [config.seed])[0]
 
 
 def run_ensemble(
@@ -246,11 +367,16 @@ def run_ensemble(
     Seeds come from SeedSequence(base_seed).spawn, numpy's splittable
     scheme: trajectory i always sees the same stream regardless of how many
     trajectories run, and two ensembles with the same base seed are
-    bit-identical.
+    bit-identical. Trajectories advance in blocks whose size fits the
+    Kraus-image workspace in BLOCK_BYTES (blocks of one under a feedback
+    StepProvider); record i equals run_trajectory with seed child i, its
+    outcome stream exactly and its states and fidelities to rounding.
     """
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
-    return [
-        run_trajectory(replace(config, seed=child)) for child in children
-    ]
+    size = _block_size(config)
+    records: List[TrajectoryRecord] = []
+    for start in range(0, n_traj, size):
+        records += _run_block(config, children[start : start + size])
+    return records

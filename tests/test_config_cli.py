@@ -1,12 +1,14 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from qfilter import DensityOperator, KrausFamily, MeasurementStep, ErrorModel
 from qfilter.cli import main
 from qfilter.config import (
+    CONFIG_SCHEMA,
     build_steps,
     load_config,
     parse_config,
@@ -126,6 +128,9 @@ class TestConfig:
         path.write_text(json.dumps(raw))  # json writes NaN and Infinity
         with pytest.raises(ConfigError, match=name):
             load_config(path)
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
     def test_photonbox_p_atom_list_builds(self):
         model = {"type": "photonbox", "params": {"n_max": 3, "p_atom": [0.2, 0.7, 0.1]}}
@@ -294,6 +299,15 @@ class TestCli:
         code = main(
             ["simulate", "--config", str(path), "--out", str(tmp_path / "o")]
         )
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "photonbox-export"])
+    def test_bad_photonbox_params_exit_code(self, tmp_path, command):
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["model"]["params"]["p_atom"] = [0.5, 0.5, 0.5]
+        path = tmp_path / "bad_params.json"
+        path.write_text(json.dumps(raw))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
 
     def test_photonbox_export(self, tmp_path):

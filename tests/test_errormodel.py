@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfilter import ErrorModel, sample_real_outcome
-from qfilter.errormodel import inverse_cdf_index
+from qfilter.errormodel import inverse_cdf_index, inverse_cdf_rows
 from qfilter.errors import (
     ColumnSumDeviationError,
     IndexOutOfRangeError,
@@ -104,3 +104,38 @@ class TestSampling:
         assert inverse_cdf_index(np.array([0.5, 0.5]), 1.0 - 1e-16) == 1
         assert inverse_cdf_index(np.array([1.0, 0.0]), 1.0 - 1e-16) == 0
         assert inverse_cdf_index(np.array([0.3, 0.7 - 1e-6]), 1.0 - 1e-9) == 1
+
+
+class TestInverseCdfRows:
+    """The engine's vectorized draw against the scalar walk."""
+
+    @staticmethod
+    def _check(probs, us):
+        probs = np.asarray(probs, dtype=np.float64)
+        rows = np.broadcast_to(probs, (len(us), len(probs)))
+        got = inverse_cdf_rows(rows, np.asarray(us, dtype=np.float64))
+        assert got.tolist() == [inverse_cdf_index(probs, u) for u in us]
+
+    def test_u_exactly_on_a_cumulative_sum(self):
+        # u < acc is strict: u equal to a partial sum belongs to the next index
+        self._check([0.25, 0.25, 0.5], [0.0, 0.25, 0.5, 0.75])
+
+    def test_u_above_the_rounded_total_is_last_index(self):
+        probs = np.full(10, 0.1)
+        total = np.cumsum(probs)[-1]
+        assert total < 1.0
+        self._check(probs, [total, np.nextafter(1.0, 0.0), 0.95])
+        self._check([0.3, 0.7 - 1e-6], [1.0 - 1e-9, 0.3, 0.29999999999999993])
+
+    def test_zero_probability_entries(self):
+        self._check([0.0, 0.5, 0.0, 0.5], [0.0, 0.25, 0.5, 0.9])
+        self._check([0.5, 0.5, 0.0], [0.5, np.nextafter(1.0, 0.0)])
+        self._check([1.0, 0.0], [0.0, 1.0 - 1e-16])
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(3)
+        probs = rng.dirichlet(np.ones(7), size=500)
+        probs[:, 2] = 0.0
+        us = rng.random(500)
+        got = inverse_cdf_rows(probs, us)
+        assert got.tolist() == [inverse_cdf_index(p, u) for p, u in zip(probs, us)]

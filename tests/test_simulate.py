@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,14 @@ from qfilter import (
     KrausFamily,
     MeasurementStep,
     TrajectoryConfig,
+    filter_update,
     outcome_probabilities,
     run_ensemble,
     run_trajectory,
+    simulate,
     step_truth,
 )
+from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.errors import ValidationError
 from qfilter import serialize
 from qfilter.stability import random_density_operator
@@ -155,8 +161,6 @@ class TestRunEnsemble:
             horizon=6,
         )
         [from_ensemble] = run_ensemble(config, 1, base_seed=123)
-        import dataclasses
-
         child = np.random.SeedSequence(123).spawn(1)[0]
         direct = run_trajectory(dataclasses.replace(config, seed=child))
         assert np.array_equal(from_ensemble.real_outcomes, direct.real_outcomes)
@@ -228,3 +232,128 @@ class TestRunEnsemble:
         rows = record.predicted_probabilities["optimal"]
         assert rows.shape == (3, 2)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+# run_ensemble(..., 8, base_seed=REGULARIZED_SEED) in the regularized-row test
+# sends exactly one trajectory, the fourth, to outcome 1.
+REGULARIZED_SEED = 7
+
+
+def _photonbox_config(horizon, **kwargs):
+    params = PhotonBoxParams()
+    step = MeasurementStep(composite_kraus(params, 0.0), detection_error_model(params))
+    vacuum = DensityOperator.basis_state(params.dim, 0)
+    return TrajectoryConfig(
+        true_initial=vacuum,
+        filter_initials={
+            "optimal": vacuum,
+            "agnostic": DensityOperator.maximally_mixed(params.dim),
+        },
+        steps=step,
+        horizon=horizon,
+        fidelity_pairs=(("optimal", "agnostic"),),
+        **kwargs,
+    )
+
+
+def _assert_same_record(block, single):
+    assert np.array_equal(block.ideal_outcomes, single.ideal_outcomes)
+    assert np.array_equal(block.real_outcomes, single.real_outcomes)
+    assert block.flagged_steps == single.flagged_steps
+    assert block.fidelities.keys() == single.fidelities.keys()
+    for pair, series in block.fidelities.items():
+        assert np.abs(series - single.fidelities[pair]).max() <= 1e-12
+    for a, b in zip(block.true_states, single.true_states, strict=True):
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+    for name, states in block.filter_states.items():
+        for a, b in zip(states, single.filter_states[name], strict=True):
+            assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+    for name, rows in block.predicted_probabilities.items():
+        assert np.abs(rows - single.predicted_probabilities[name]).max() <= 1e-12
+
+
+class TestBlockEngine:
+    """Blocks of trajectories against blocks of one (run_trajectory)."""
+
+    @staticmethod
+    def _compare(config, n_traj, base_seed):
+        records = run_ensemble(config, n_traj, base_seed=base_seed)
+        children = np.random.SeedSequence(base_seed).spawn(n_traj)
+        assert len(records) == n_traj
+        for record, child in zip(records, children):
+            _assert_same_record(
+                record, run_trajectory(dataclasses.replace(config, seed=child))
+            )
+
+    def test_photonbox_blocks_match_blocks_of_one(self):
+        config = _photonbox_config(8, store_states=True, record_predictions=True)
+        size = simulate._block_size(config)
+        assert size > 2
+        self._compare(config, size + 2, base_seed=77)
+
+    def test_two_level_blocks_match_blocks_of_one(
+        self, monkeypatch, two_level_step, mixed_qubit
+    ):
+        # Blocks of 4 (32 * m * d * d = 256 bytes per trajectory): 4 + 4 + 2.
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", 4 * 256)
+        config = TrajectoryConfig(
+            true_initial=DensityOperator(np.diag([0.8, 0.2])),
+            filter_initials={
+                "optimal": DensityOperator(np.diag([0.8, 0.2])),
+                "agnostic": mixed_qubit,
+            },
+            steps=two_level_step,
+            horizon=12,
+            fidelity_pairs=(("optimal", "agnostic"),),
+            store_states=True,
+            record_predictions=True,
+        )
+        assert simulate._block_size(config) == 4
+        self._compare(config, 10, base_seed=5)
+
+    def test_regularized_row_inside_a_block(self, projective_family):
+        # A perfect detector: the filter sure of |0> cannot explain p = 1,
+        # so the trajectories whose truth jumps to |1> take the
+        # shrinking-epsilon branch; at this seed exactly one, mid-block.
+        step = MeasurementStep(projective_family, ErrorModel.identity(2))
+        sure = DensityOperator.basis_state(2, 0)
+        truth = DensityOperator(np.diag([0.9, 0.1]))
+        config = TrajectoryConfig(
+            true_initial=truth,
+            filter_initials={"optimal": truth, "sure": sure},
+            steps=step,
+            horizon=3,
+            store_states=True,
+        )
+        records = run_ensemble(config, 8, base_seed=REGULARIZED_SEED)
+        flagged = [i for i, r in enumerate(records) if r.flagged_steps]
+        assert len(flagged) == 1 and flagged[0] > 0
+        record = records[flagged[0]]
+        assert record.flagged_steps == ((1, "sure"),)
+        expected = filter_update(FilterState(estimate=sure), step, 1)
+        assert expected.regularized
+        got = record.filter_states["sure"][0].matrix
+        assert np.abs(got - expected.estimate.matrix).max() <= 1e-15
+        for i, r in enumerate(records):
+            if i != flagged[0]:
+                assert np.array_equal(r.real_outcomes, np.zeros(3, dtype=np.int64))
+                assert np.abs(r.filter_states["sure"][-1].matrix - sure.matrix).max() == 0
+
+
+# tracemalloc peak of a photon-box run_ensemble, 100 trajectories x 50 steps:
+# 1.10-1.15 MB measured with blocks of 6 (0.49 MB of it the preallocated
+# Kraus-image workspace), 0.44-0.47 MB for the earlier one-at-a-time runner.
+# The budget leaves about 30% margin; blocks of 12 peak at 1.69-1.71 MB.
+ENSEMBLE_PEAK_BUDGET = 1_500_000
+
+
+def test_ensemble_memory_peak_within_budget():
+    config = _photonbox_config(50)
+    run_ensemble(config, 2, base_seed=0)  # one-off allocations outside the trace
+    tracemalloc.start()
+    try:
+        run_ensemble(config, 100, base_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ENSEMBLE_PEAK_BUDGET
