@@ -9,7 +9,8 @@ Library layout:
 - ``oracle``: brute-force Bayes expansion certifying the recursion
 - ``simulate``: Monte Carlo co-evolution of truth, detector, and filters
 - ``photonbox``: cavity QND photon-counting model with the 6 x 21 error matrix
-- ``stability``: submartingale and channel-inequality verification
+- ``stability``: one-step fidelity submartingale (the channel inequality is
+  its 0/1-detector case) and ensemble checks, run by the simulator's update
 - ``config``/``serialize``: experiment configs and file formats
 - ``cli``: command-line front end (filter / simulate / verify / photonbox-export)
 """
@@ -20,7 +21,7 @@ from .density import (
     Tolerances,
     fidelity,
 )
-from .errormodel import ErrorModel, sample_real_outcome
+from .errormodel import ErrorModel
 from .filtering import (
     FilterState,
     MeasurementStep,
@@ -28,7 +29,7 @@ from .filtering import (
     outcome_probabilities,
     run_filter,
 )
-from .kraus import KrausFamily, PROB_FLOOR, apply_jump, jump_probabilities
+from .kraus import KrausFamily, PROB_FLOOR, apply_jump
 from .oracle import direct_estimate, marginal_evidence, sequence_posterior
 from .photonbox import (
     PhotonBoxParams,
@@ -62,7 +63,6 @@ __all__ = [
     "Tolerances",
     "fidelity",
     "ErrorModel",
-    "sample_real_outcome",
     "FilterState",
     "MeasurementStep",
     "filter_update",
@@ -71,7 +71,6 @@ __all__ = [
     "KrausFamily",
     "PROB_FLOOR",
     "apply_jump",
-    "jump_probabilities",
     "direct_estimate",
     "marginal_evidence",
     "sequence_posterior",

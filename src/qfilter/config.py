@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import jsonschema
 
@@ -310,9 +310,26 @@ def parse_tolerances(
             parsed[name] = float(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"tolerance {name}={value!r} is not a number") from err
-        if not (math.isfinite(parsed[name]) and parsed[name] > 0.0):
-            raise ConfigError(f"tolerance {name}={value!r} must be finite and > 0")
-    return dataclasses.replace(base, **parsed)
+    try:
+        return dataclasses.replace(base, **parsed)
+    except ValidationError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _non_finite(value: object, where: str = "") -> Optional[str]:
+    """JSON pointer to the first NaN or infinite number in parsed JSON, or None.
+
+    Python's json reads NaN, Infinity, -Infinity and 1e999 as such floats.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return where
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            found = _non_finite(child, f"{where}/{key}")
+            if found is not None:
+                return found
+    return None
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -329,6 +346,9 @@ def load_config(path: Union[str, Path]) -> ExperimentConfig:
             f"config {path} is not valid JSON: line {err.lineno}, "
             f"column {err.colno}: {err.msg}"
         ) from err
+    where = _non_finite(data)
+    if where is not None:
+        raise ConfigError(f"config {path} has a NaN or infinite number at {where}")
     try:
         return parse_config(data)
     except ConfigError as err:

@@ -15,7 +15,8 @@ safe to share across trajectory workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -41,11 +42,20 @@ class Tolerances:
     """Numerical tolerances for density-operator validation.
 
     Defaults suit double precision with up to ~1e3 sequential updates.
+    Every tolerance must be finite and > 0: a NaN would switch its check off.
     """
 
     herm: float = 1e-9
     trace: float = 1e-9
     psd: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 < value < math.inf:
+                raise ValidationError(
+                    f"tolerance {f.name}={value!r} must be finite and > 0"
+                )
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ColumnSumDeviationError,
-    IndexOutOfRangeError,
-    NegativeEntryError,
-    ValidationError,
-)
+from .errors import ColumnSumDeviationError, NegativeEntryError, ValidationError
 
-__all__ = ["COLUMN_SUM_TOL", "ErrorModel", "sample_real_outcome",
-           "inverse_cdf_index"]
+__all__ = ["COLUMN_SUM_TOL", "ErrorModel", "inverse_cdf_index"]
 
 # Strict: analytic models are exact, and numerically built ones should be
 # assembled so the last entry absorbs rounding. Catches modeling bugs early.
@@ -92,15 +86,3 @@ def inverse_cdf_rows(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
         below.any(axis=1), below.argmax(axis=1), probabilities.shape[1] - 1
     )
 
-
-def sample_real_outcome(model: ErrorModel, q: int, rng: np.random.Generator) -> int:
-    """Draw the detector outcome p from column q of eta.
-
-    Consumes exactly one uniform from rng, so sequences are bit-exactly
-    reproducible under a fixed seed.
-    """
-    if not 0 <= q < model.m_ideal:
-        raise IndexOutOfRangeError(
-            f"ideal outcome {q} out of range for m_ideal={model.m_ideal}"
-        )
-    return inverse_cdf_index(model.eta[:, q], rng.random())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -100,20 +100,19 @@ class FilterState:
 def regularized_image(
     rho: np.ndarray,
     image: Callable[[np.ndarray], np.ndarray],
-) -> Tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """Normalized image of a CP map at a state whose image trace vanishes.
 
     Evaluates image((rho + eps I)/tr(rho + eps I)), normalized, along the
     shrinking eps ladder and accepts the smaller-eps member of the first
-    pair that agrees to ``EPS_STABILIZATION_TOL`` in max-norm. Returns the
-    matrix and whether the ladder stabilized; emits RegularizationWarning
-    if it did not. Such a limit point always exists (states live in a
-    compact set); any stabilized limit is acceptable.
+    pair that agrees to ``EPS_STABILIZATION_TOL`` in max-norm. If no pair
+    agrees, emits RegularizationWarning and returns the smallest-eps image.
+    Such a limit point always exists (states live in a compact set); any
+    stabilized limit is acceptable.
     """
     d = rho.shape[0]
     eye = np.eye(d, dtype=np.complex128)
     prev = None
-    stabilized = False
     for eps in EPS_LADDER:
         rho_eps = (rho + eps * eye) / (np.trace(rho).real + eps * d)
         out = image(rho_eps)
@@ -125,18 +124,15 @@ def regularized_image(
             )
         out = out / tr
         if prev is not None and float(np.abs(out - prev).max()) < EPS_STABILIZATION_TOL:
-            stabilized = True
-            prev = out
-            break
+            return out
         prev = out
-    if not stabilized:
-        warnings.warn(
-            "shrinking-epsilon regularization did not stabilize across "
-            f"{EPS_LADDER}; using the smallest-epsilon value",
-            RegularizationWarning,
-            stacklevel=2,
-        )
-    return prev, stabilized
+    warnings.warn(
+        "shrinking-epsilon regularization did not stabilize across "
+        f"{EPS_LADDER}; using the smallest-epsilon value",
+        RegularizationWarning,
+        stacklevel=2,
+    )
+    return prev
 
 
 def filter_update(
@@ -184,7 +180,7 @@ def filter_update(
                 f"outcome {p} has zero probability from every state "
                 "(all coarse operators vanish)"
             )
-        new_matrix, _ = regularized_image(
+        new_matrix = regularized_image(
             rho, lambda x: weighted_image(family, eta_row, x)
         )
         regularized = True

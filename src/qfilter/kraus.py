@@ -13,6 +13,7 @@ in a small decoherence parameter.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,13 +31,18 @@ from .errors import (
 __all__ = [
     "PROB_FLOOR",
     "KrausFamily",
-    "jump_probabilities",
     "apply_jump",
 ]
 
 # Below this, a jump probability is treated as zero: dividing by it would
 # amplify rounding noise past any useful precision.
 PROB_FLOOR = 1e-12
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    """sum_q M_q^dag M_q of a stack (m, d, d), as one (d, m*d) @ (m*d, d) gemm."""
+    flat = ops.reshape(-1, ops.shape[-1])
+    return flat.conj().T @ flat
 
 
 class KrausFamily:
@@ -74,10 +80,14 @@ class KrausFamily:
                 f"{len(labels)} labels for {ops.shape[0]} operators"
             )
 
-        gram = np.einsum("qki,qkj->ij", ops.conj(), ops)
-        deviation = float(np.abs(gram - np.eye(ops.shape[1])).max())
-        if deviation > completeness_tolerance:
-            raise CompletenessViolationError(deviation, completeness_tolerance)
+        tol = completeness_tolerance
+        if not 0.0 <= tol < math.inf:
+            raise ValidationError(
+                f"completeness_tolerance must be finite and >= 0, got {tol!r}"
+            )
+        deviation = float(np.abs(_gram(ops) - np.eye(ops.shape[1])).max())
+        if deviation > tol:
+            raise CompletenessViolationError(deviation, tol)
 
         m, d, _ = ops.shape
         ops = np.ascontiguousarray(ops)
@@ -92,7 +102,7 @@ class KrausFamily:
         self._flat = flat
         self._adjoints_flat = adj_flat
         self.labels = tuple(labels) if labels is not None else None
-        self.completeness_tolerance = float(completeness_tolerance)
+        self.completeness_tolerance = float(tol)
 
     @property
     def count(self) -> int:
@@ -195,17 +205,27 @@ def _clamp_and_renormalize(
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def jump_probabilities(family: KrausFamily, rho: DensityOperator) -> np.ndarray:
-    """Probability of each ideal jump from state rho.
+def _jumps(
+    family: KrausFamily,
+    q: np.ndarray,
+    stack: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """M_q[n] rho_n M_q[n]^dag / tr(...) for a stack (N, d, d) and jumps q (N,).
 
-    Components are tr(M_q rho M_q^dag), clamped at zero and renormalized to
-    sum exactly to 1 (a no-op for exactly complete families). Raises
-    ProbabilityDeficitError if the raw sum deviates from 1 beyond the
-    family's completeness tolerance.
+    Raises ZeroProbabilityJumpError for the first jump whose trace is at or
+    below PROB_FLOOR. Writes to ``out`` when given.
     """
-    return _clamp_and_renormalize(
-        raw_jump_probabilities(family, rho), family.completeness_tolerance
-    )
+    m, d = family.count, family.dim
+    jumped = family.operators[q] @ stack @ family._adjoints_flat.reshape(m, d, d)[q]
+    prob = jumped.trace(axis1=1, axis2=2).real
+    low = prob <= PROB_FLOOR
+    if low.any():
+        i = int(low.argmax())
+        raise ZeroProbabilityJumpError(
+            f"jump {q[i]} has probability {prob[i]:.3e} <= {PROB_FLOOR:.0e}"
+        )
+    return np.divide(jumped, prob[:, None, None], out=out)
 
 
 def apply_jump(
@@ -220,12 +240,5 @@ def apply_jump(
         raise IndexOutOfRangeError(
             f"jump index {q} out of range for {family.count} operators"
         )
-    m = family.operators[q]
-    out = m @ rho.matrix @ m.conj().T
-    prob = float(np.trace(out).real)
-    if prob <= PROB_FLOOR:
-        raise ZeroProbabilityJumpError(
-            f"jump {q} has probability {prob:.3e} <= {PROB_FLOOR:.0e}"
-        )
-    return DensityOperator(out / prob, tolerances)
-
+    jumped = _jumps(family, np.array([q]), rho.matrix[None])
+    return DensityOperator(jumped[0], tolerances)

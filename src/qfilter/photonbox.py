@@ -30,7 +30,7 @@ import numpy as np
 
 from .errormodel import ErrorModel
 from .errors import TruncationWarning, ValidationError
-from .kraus import KrausFamily
+from .kraus import KrausFamily, _gram
 
 __all__ = [
     "ATOM_JUMPS",
@@ -238,8 +238,7 @@ def composite_kraus(params: PhotonBoxParams, alpha: complex = 0.0) -> KrausFamil
             labels.append(f"({qa},{qc})")
 
     stacked = np.asarray(ops)
-    gram = np.einsum("qki,qkj->ij", stacked.conj(), stacked)
-    defect_spectrum = np.linalg.eigvalsh(gram - np.eye(params.dim))
+    defect_spectrum = np.linalg.eigvalsh(_gram(stacked) - np.eye(params.dim))
     tolerance = float(np.abs(defect_spectrum).max()) * (1.0 + 1e-9) + 1e-14
     return KrausFamily(stacked, completeness_tolerance=tolerance, labels=labels)
 

@@ -31,12 +31,13 @@ from .density import (
     _validated,
 )
 from .errormodel import inverse_cdf_rows
-from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityJumpError
+from .errors import DimensionMismatchError, ValidationError
 from .filtering import FilterState, MeasurementStep, filter_update
 from .kraus import (
     PROB_FLOOR,
     _clamp_and_renormalize,
     _effects,
+    _jumps,
     _traces,
     _weighted_images,
 )
@@ -162,24 +163,15 @@ def _advance_truth(
     jumped states M_q rho M_q^dag / tr(...) go to out, not yet validated.
     """
     family = step.family
-    m, d = family.count, family.dim
-    if d != truth.shape[-1]:
+    if family.dim != truth.shape[-1]:
         raise DimensionMismatchError(
-            f"family dimension {d} != state dimension {truth.shape[-1]}"
+            f"family dimension {family.dim} != state dimension {truth.shape[-1]}"
         )
     probs = _clamp_and_renormalize(
         _traces(effects, truth), family.completeness_tolerance
     )
     q = inverse_cdf_rows(probs, uniforms[:, 0])
-    jumped = family.operators[q] @ truth @ family._adjoints_flat.reshape(m, d, d)[q]
-    prob = jumped.trace(axis1=1, axis2=2).real
-    low = prob <= PROB_FLOOR
-    if low.any():
-        i = int(low.argmax())
-        raise ZeroProbabilityJumpError(
-            f"jump {q[i]} has probability {prob[i]:.3e} <= {PROB_FLOOR:.0e}"
-        )
-    np.divide(jumped, prob[:, None, None], out=out)
+    _jumps(family, q, truth, out)
     return q, inverse_cdf_rows(step.errors.eta.T[q], uniforms[:, 1])
 
 

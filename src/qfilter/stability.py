@@ -1,22 +1,17 @@
-"""Stability verification: fidelity submartingale and the channel inequality.
+"""Stability verification: the fidelity submartingale, one step at a time.
 
-Two independent angles on the same fact. Exactly, for one step: the
-expected next-step fidelity between the optimal filter and a mismatched
-filter driven by the same detector stream,
+For A_p(X) = sum_q eta[p, q] M_q X M_q^dag, the expected fidelity after one
+step between the optimal filter rho_hat and a mismatched filter rho_e,
 
-    E[F'] = sum_p P[p | rho_hat] * F(update_p(rho_hat), update_p(rho_e)),
+    E[F'] = sum_p tr(A_p(rho_hat)) * F(A_p(rho_hat)/tr, A_p(rho_e)/tr),
 
-never falls below F(rho_hat, rho_e). This is a finite sum over detector
-outcomes, so it is checked by enumeration, not sampling. Statistically, for
-ensembles: the per-step mean fidelity increment must stay above -3 standard
-errors. The underlying operator inequality,
-
-    F(rho, sigma) <= sum_j tr(A_j(rho)) * F(A_j(rho)/tr, A_j(sigma)/tr),
-    A_j(X) = sum_{i in part_j} L_i X L_i^dag,  sum_i L_i^dag L_i = I,
-
-is verified directly on random instances, including the degenerate case
-where tr(A_j(sigma)) = 0, handled through the same shrinking-epsilon
-regularization the filter uses.
+never falls below F(rho_hat, rho_e) (Rouchon, IEEE TAC 56(11), 2011). The
+sum over outcomes is enumerated exactly, and both states are advanced by the
+simulator's stacked filter update, its shrinking-epsilon limit included. The
+partitioned-channel inequality, A_j(X) = sum_{i in part_j} L_i X L_i^dag, is
+the same check with a 0/1 detector: eta[j, i] = 1 iff i is in part j. For
+ensembles, the per-step mean fidelity increment must stay above -3 standard
+errors.
 
 Also home to the seeded random-instance generators (states, exactly
 complete Kraus families, error models) used by the verification suites.
@@ -25,11 +20,17 @@ complete Kraus families, error models) used by the verification suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .density import DensityOperator, fidelity
+from .density import (
+    DEFAULT_TOLERANCES,
+    DensityOperator,
+    _fidelities,
+    _validated,
+    fidelity,
+)
 from .errormodel import ErrorModel
 from .errors import (
     BadPartitionError,
@@ -38,14 +39,13 @@ from .errors import (
     SubmartingaleViolationError,
     ValidationError,
 )
-from .filtering import FilterState, MeasurementStep, filter_update, regularized_image
+from .filtering import MeasurementStep
 from .kraus import PROB_FLOOR, KrausFamily, raw_jump_probabilities
-from .simulate import TrajectoryRecord
+from .simulate import TrajectoryRecord, _update_filters
 
 __all__ = [
     "OneStepCheck",
     "SubmartingaleReport",
-    "InequalityCheck",
     "exact_one_step_submartingale",
     "ensemble_submartingale",
     "check_fidelity_inequality",
@@ -129,13 +129,38 @@ def random_measurement_step(
 
 @dataclass(frozen=True)
 class OneStepCheck:
-    """Result of one exact conditional-expectation evaluation."""
+    """Both sides of one exact conditional-expectation evaluation."""
 
     lhs: float                      # F(rho_hat, rho_e) before the step
     rhs: float                      # sum_p P[p] * F after the step
     slack: float                    # rhs - lhs
     outcome_weights: np.ndarray     # P[p | rho_hat], unnormalized raw traces
     regularized_outcomes: Tuple[int, ...]  # p where the rho_e side needed eps
+
+
+def _one_step(
+    step: MeasurementStep, rho: DensityOperator, sigma: DensityOperator
+) -> Tuple[float, np.ndarray, Tuple[int, ...]]:
+    """sum_p w_p F(update_p(rho), update_p(sigma)) with w = eta @ tr(M_q rho M_q^dag).
+
+    Outcomes with w_p at or below PROB_FLOOR contribute nothing and are
+    skipped. The kept outcomes update rho and sigma as two filters of one
+    stack through the simulator's filter update, and every updated state is
+    validated. Returns the sum, w, and the outcomes whose sigma-side update
+    went through the shrinking-epsilon limit.
+    """
+    weights = step.errors.eta @ raw_jump_probabilities(step.family, rho)
+    kept = np.flatnonzero(weights > PROB_FLOOR)
+    n = kept.size
+    if not n:
+        return 0.0, weights, ()
+    stack = np.repeat(np.stack([rho.matrix, sigma.matrix])[:, None], n, axis=1)
+    out = np.empty_like(stack)
+    work = np.empty(2 * n * step.m_ideal * step.dim**2, dtype=np.complex128)
+    regularized = _update_filters(step, stack, kept, DEFAULT_TOLERANCES, work, out)
+    states = _validated(out, DEFAULT_TOLERANCES)
+    rhs = float(weights[kept] @ _fidelities(states[0], states[1]))
+    return rhs, weights, tuple(int(kept[i]) for f, i in regularized if f == 1)
 
 
 def exact_one_step_submartingale(
@@ -162,31 +187,11 @@ def exact_one_step_submartingale(
             f"step {step.dim}"
         )
     lhs = fidelity(rho_hat, rho_e)
-    weights = step.errors.eta @ raw_jump_probabilities(step.family, rho_hat)
-
-    rhs = 0.0
-    regularized: List[int] = []
-    hat_state = FilterState(estimate=rho_hat)
-    e_state = FilterState(estimate=rho_e)
-    for p, weight in enumerate(weights):
-        if weight <= PROB_FLOOR:
-            continue
-        next_hat = filter_update(hat_state, step, p)
-        next_e = filter_update(e_state, step, p)
-        if next_e.regularized:
-            regularized.append(p)
-        rhs += float(weight) * fidelity(next_hat.estimate, next_e.estimate)
-
+    rhs, weights, regularized = _one_step(step, rho_hat, rho_e)
     slack = rhs - lhs
     if slack < -slack_tol:
         raise SubmartingaleViolationError(lhs, rhs, slack_tol)
-    return OneStepCheck(
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        outcome_weights=weights,
-        regularized_outcomes=tuple(regularized),
-    )
+    return OneStepCheck(lhs, rhs, slack, weights, regularized)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +299,9 @@ def ensemble_submartingale(
             for _ in range(exact_checks):
                 r = eligible[int(rng.integers(len(eligible)))]
                 k = int(rng.integers(r.horizon))  # 0-based: state after k updates
-                rho_hat = (
-                    r.filter_initials[pair[0]] if k == 0
-                    else r.filter_states[pair[0]][k - 1]
-                )
-                rho_e = (
-                    r.filter_initials[pair[1]] if k == 0
-                    else r.filter_states[pair[1]][k - 1]
+                rho_hat, rho_e = (
+                    r.filter_initials[name] if k == 0 else r.filter_states[name][k - 1]
+                    for name in pair
                 )
                 try:
                     check = exact_one_step_submartingale(
@@ -332,29 +333,6 @@ def ensemble_submartingale(
 # The operator inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InequalityCheck:
-    """Both sides of the partitioned-channel fidelity inequality."""
-
-    dim: int
-    partition: Tuple[Tuple[int, ...], ...]
-    lhs: float
-    rhs: float
-    slack: float                                # rhs - lhs, sign preserved
-    degenerate_parts: Tuple[int, ...]           # parts with vanishing sigma trace
-    part_weights: np.ndarray                    # tr(A_j(rho)) per part
-
-    def to_dict(self) -> Dict:
-        return {
-            "dim": self.dim,
-            "partition": [list(p) for p in self.partition],
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "degenerate_parts": list(self.degenerate_parts),
-        }
-
-
 def check_fidelity_inequality(
     operators: Sequence[np.ndarray],
     partition: Sequence[Sequence[int]],
@@ -362,24 +340,26 @@ def check_fidelity_inequality(
     sigma: DensityOperator,
     *,
     completeness_tol: float = 1e-9,
-) -> InequalityCheck:
+) -> OneStepCheck:
     """Evaluate both sides of the partitioned-channel fidelity inequality.
 
     ``operators`` must satisfy sum L^dag L = I within ``completeness_tol``
     (CompletenessViolationError otherwise) and contain no zero operator;
     ``partition`` must split their indices into disjoint non-empty parts
-    covering everything (BadPartitionError otherwise). Parts where the
-    sigma-side trace vanishes are evaluated at the shrinking-epsilon limit
-    and reported in ``degenerate_parts``; the single-part partition reduces
-    to monotonicity of fidelity under the full channel.
+    covering everything (BadPartitionError otherwise). The check is the
+    one-step check of the operators with the part indicator as detector
+    matrix: ``outcome_weights`` holds tr(A_j(rho)) per part, and parts where
+    the sigma-side trace vanishes are evaluated at the shrinking-epsilon
+    limit and reported in ``regularized_outcomes``. The single-part
+    partition reduces to monotonicity of fidelity under the full channel.
     """
-    ops = KrausFamily(operators, completeness_tolerance=completeness_tol).operators
-    d = ops.shape[1]
+    family = KrausFamily(operators, completeness_tolerance=completeness_tol)
+    d = family.dim
     if rho.dim != d or sigma.dim != d:
         raise DimensionMismatchError(
             f"states have dims {rho.dim}, {sigma.dim}; operators act on dim {d}"
         )
-    norms = np.abs(ops).max(axis=(1, 2))
+    norms = np.abs(family.operators).max(axis=(1, 2))
     if np.any(norms == 0.0):
         raise ValidationError(
             f"operator {int(np.argmin(norms))} is identically zero"
@@ -390,47 +370,17 @@ def check_fidelity_inequality(
     if (
         not parts
         or any(len(part) == 0 for part in parts)
-        or sorted(flat) != list(range(ops.shape[0]))
+        or sorted(flat) != list(range(family.count))
     ):
         raise BadPartitionError(
-            f"partition {parts} is not a disjoint cover of 0..{ops.shape[0] - 1}"
+            f"partition {parts} is not a disjoint cover of 0..{family.count - 1}"
         )
 
-    lhs = fidelity(rho, sigma)
-    rhs = 0.0
-    weights = np.zeros(len(parts))
-    degenerate: List[int] = []
+    indicator = np.zeros((len(parts), family.count))
     for j, part in enumerate(parts):
-        block = ops[list(part)]
-        adj = block.conj().transpose(0, 2, 1)
-
-        def image(x: np.ndarray, block=block, adj=adj) -> np.ndarray:
-            return np.tensordot(block @ x, adj, axes=([0, 2], [0, 1]))
-
-        a_rho = image(rho.matrix)
-        w = float(np.trace(a_rho).real)
-        weights[j] = w
-        if w <= PROB_FLOOR:
-            continue  # bounded fidelity times vanishing weight
-        rho_j = DensityOperator(a_rho / w)
-
-        a_sigma = image(sigma.matrix)
-        w_sigma = float(np.trace(a_sigma).real)
-        if w_sigma > PROB_FLOOR:
-            sigma_j = DensityOperator(a_sigma / w_sigma)
-        else:
-            degenerate.append(j)
-            limit, _ = regularized_image(sigma.matrix, image)
-            sigma_j = DensityOperator((limit + limit.conj().T) / 2.0)
-
-        rhs += w * fidelity(rho_j, sigma_j)
-
-    return InequalityCheck(
-        dim=d,
-        partition=parts,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        degenerate_parts=tuple(degenerate),
-        part_weights=weights,
+        indicator[j, list(part)] = 1.0
+    lhs = fidelity(rho, sigma)
+    rhs, weights, regularized = _one_step(
+        MeasurementStep(family, ErrorModel(indicator)), rho, sigma
     )
+    return OneStepCheck(lhs, rhs, rhs - lhs, weights, regularized)

@@ -177,6 +177,11 @@ def ideal_reduction_suite(
     )
 
 
+def _basis_projectors(d: int) -> np.ndarray:
+    """The projectors |j><j| of the computational basis, stacked (d, d, d)."""
+    return np.stack([np.diag(row) for row in np.eye(d, dtype=np.complex128)])
+
+
 def exact_submartingale_suite(
     n_instances: int = 1000,
     max_dim: int = 4,
@@ -201,14 +206,8 @@ def exact_submartingale_suite(
             if degenerate:
                 # Projective measurement with a state missing one basis
                 # direction: outcome on the missing direction has zero trace.
-                projectors = [
-                    np.diag((np.arange(d) == j).astype(np.complex128))
-                    for j in range(d)
-                ]
-                step = MeasurementStep(
-                    family=KrausFamily(projectors, completeness_tolerance=1e-12),
-                    errors=ErrorModel.identity(d),
-                )
+                family = KrausFamily(_basis_projectors(d), completeness_tolerance=1e-12)
+                step = MeasurementStep(family, ErrorModel.identity(d))
                 rho_hat = random_density_operator(rng, d)
                 rank = int(rng.integers(1, d))
                 g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal(
@@ -299,12 +298,7 @@ def inequality_suite(
             d = int(rng.integers(2, max_dim + 1))
             if i % 7 == 3:
                 # Aligned degenerate instance.
-                ops = np.stack(
-                    [
-                        np.diag((np.arange(d) == j).astype(np.complex128))
-                        for j in range(d)
-                    ]
-                )
+                ops = _basis_projectors(d)
                 dead = int(rng.integers(d))
                 rest = [j for j in range(d) if j != dead]
                 partition = [[dead]] + _random_partition_of(rng, rest)
@@ -329,7 +323,7 @@ def inequality_suite(
                     sigma = random_density_operator(rng, d)
             n_single_part += len(partition) == 1
             check = check_fidelity_inequality(ops, partition, rho, sigma)
-            n_degenerate += len(check.degenerate_parts)
+            n_degenerate += len(check.regularized_outcomes)
             min_slack = min(min_slack, check.slack)
             if check.slack < -slack_tol:
                 violations += 1

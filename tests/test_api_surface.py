@@ -1,7 +1,10 @@
 """Every exported name resolves, so a removal cannot leave a stale export."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,28 @@ def test_star_import(name):
     exec(f"from {name} import *", namespace)
     for attr in getattr(importlib.import_module(name), "__all__", []):
         assert attr in namespace
+
+
+def test_benchmark_bindings_resolve():
+    # The benchmark wraps every (module, function) in TARGETS and reads these
+    # caller bindings; a removal must fail here, not in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # dataclasses resolve annotations here
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        del sys.modules[spec.name]
+    missing = [
+        f"{module}.{function}"
+        for module, function in tracing.TARGETS
+        if not callable(
+            getattr(importlib.import_module(f"qfilter.{module}"), function, None)
+        )
+    ]
+    assert not missing, f"benchmark TARGETS missing from qfilter: {missing}"
+    from qfilter import filtering, kraus, simulate
+
+    assert simulate.filter_update is filtering.filter_update
+    assert filtering.weighted_image is kraus.weighted_image

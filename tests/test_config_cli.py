@@ -310,6 +310,20 @@ class TestCli:
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_number_exit_code(self, tmp_path, literal, caplog):
+        # an incomplete family that a NaN tolerance would let through
+        raw = json.loads((CONFIGS / "two_level.json").read_text())
+        kraus = raw["model"]["steps"][0]["kraus"]
+        kraus["operators"][0]["entries"][0] = [0.5, 0.0]
+        kraus["completeness_tolerance"] = "TOKEN"
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(raw).replace('"TOKEN"', literal))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert str(path) in caplog.text
+        assert "/model/steps/0/kraus/completeness_tolerance" in caplog.text
+
     def test_photonbox_export(self, tmp_path):
         code = main(
             ["photonbox-export", "--out", str(tmp_path), "--alpha", "0.3", "0.0"]

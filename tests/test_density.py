@@ -83,6 +83,12 @@ class TestValidateDensity:
         rho = DensityOperator(np.diag([0.6, 0.5]), loose)
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-15  # renormalized
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_bad_tolerance_rejected(self, value):
+        # a NaN psd tolerance used to let diag(1.5, -0.5) validate
+        with pytest.raises(ValidationError, match="psd"):
+            DensityOperator(np.diag([1.5, -0.5]), Tolerances(psd=value))
+
     def test_matrix_is_readonly(self, mixed_qubit):
         with pytest.raises(ValueError):
             mixed_qubit.matrix[0, 0] = 0.7

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfilter import ErrorModel, sample_real_outcome
+from qfilter import ErrorModel
 from qfilter.errormodel import inverse_cdf_index, inverse_cdf_rows
-from qfilter.errors import (
-    ColumnSumDeviationError,
-    IndexOutOfRangeError,
-    NegativeEntryError,
-)
+from qfilter.errors import ColumnSumDeviationError, NegativeEntryError
 from qfilter.photonbox import PhotonBoxParams, detection_error_model
 
 
@@ -67,36 +63,37 @@ class TestValidation:
                 ErrorModel(bad)
 
 
+def readings(model, columns, rng):
+    """Detector readings drawn from the eta columns of the ideal jumps, one each."""
+    columns = np.asarray(columns)
+    return inverse_cdf_rows(model.eta.T[columns], rng.random(columns.size))
+
+
 class TestSampling:
     def test_identity_model_is_deterministic(self, rng):
         model = ErrorModel.identity(4)
-        assert all(sample_real_outcome(model, 2, rng) == 2 for _ in range(50))
-
-    def test_index_out_of_range(self, rng):
-        with pytest.raises(IndexOutOfRangeError):
-            sample_real_outcome(ErrorModel.identity(3), 3, rng)
+        assert (readings(model, [2] * 50, rng) == 2).all()
 
     def test_balanced_column_frequency(self):
         model = ErrorModel([[0.5, 0.0], [0.5, 1.0]])
         rng = np.random.default_rng(77)
         n = 10_000
-        hits = sum(sample_real_outcome(model, 0, rng) == 0 for _ in range(n))
+        hits = int((readings(model, np.zeros(n, dtype=int), rng) == 0).sum())
         sigma = np.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) <= 3 * sigma
 
     def test_zero_entry_never_drawn(self):
         model = ErrorModel([[0.0, 1.0], [0.6, 0.0], [0.4, 0.0]])
         rng = np.random.default_rng(5)
-        draws = {sample_real_outcome(model, 0, rng) for _ in range(100_000)}
+        draws = set(readings(model, np.zeros(100_000, dtype=int), rng).tolist())
         assert 0 not in draws
 
     def test_reproducible_bit_exact(self):
         model = ErrorModel([[0.3, 0.2], [0.7, 0.8]])
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        seq_a = [sample_real_outcome(model, k % 2, rng_a) for k in range(200)]
-        seq_b = [sample_real_outcome(model, k % 2, rng_b) for k in range(200)]
-        assert seq_a == seq_b
+        columns = np.arange(200) % 2
+        seq_a = readings(model, columns, np.random.default_rng(99))
+        seq_b = readings(model, columns, np.random.default_rng(99))
+        assert np.array_equal(seq_a, seq_b)
 
     def test_residual_mass_goes_to_last_index(self):
         # u beyond the accumulated sum (cumulative rounding) selects the

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from qfilter import DensityOperator, KrausFamily, apply_jump, jump_probabilities
+from qfilter import (
+    DensityOperator,
+    ErrorModel,
+    FilterState,
+    KrausFamily,
+    MeasurementStep,
+    apply_jump,
+    outcome_probabilities,
+)
 from qfilter.errors import (
     CompletenessViolationError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    ValidationError,
     ZeroProbabilityJumpError,
 )
 from qfilter.kraus import weighted_image
@@ -15,6 +24,12 @@ from qfilter.stability import random_density_operator, random_kraus_family
 
 def identity_family(d=2):
     return KrausFamily([np.eye(d, dtype=complex)], completeness_tolerance=1e-12)
+
+
+def jump_probabilities(family, rho):
+    """Jump probabilities: the outcome distribution under a perfect detector."""
+    step = MeasurementStep(family, ErrorModel.identity(family.count))
+    return outcome_probabilities(FilterState(estimate=rho), step)
 
 
 def completeness_deficit(family):
@@ -34,6 +49,14 @@ class TestKrausFamily:
         with pytest.raises(CompletenessViolationError) as err:
             KrausFamily([0.5 * np.eye(2)], completeness_tolerance=1e-9)
         assert err.value.deviation == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
+    def test_bad_completeness_tolerance_rejected(self, tolerance):
+        # a NaN tolerance used to accept this incomplete family
+        with pytest.raises(ValidationError, match="completeness_tolerance"):
+            KrausFamily(
+                [0.5 * np.eye(2), 0.5 * np.eye(2)], completeness_tolerance=tolerance
+            )
 
     def test_labels_length_checked(self):
         with pytest.raises(Exception):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    PROB_FLOOR,
     DensityOperator,
     ErrorModel,
+    FilterState,
     KrausFamily,
     MeasurementStep,
     TrajectoryConfig,
@@ -13,6 +15,7 @@ from qfilter import (
     ensemble_submartingale,
     exact_one_step_submartingale,
     fidelity,
+    filter_update,
     run_ensemble,
 )
 from qfilter.errors import (
@@ -28,7 +31,21 @@ from qfilter.stability import (
     random_kraus_family,
     random_measurement_step,
 )
-from qfilter.verify import inequality_suite
+from qfilter.kraus import raw_jump_probabilities
+from qfilter.verify import _random_partition, inequality_suite
+
+
+def serial_rhs(rho_hat, rho_e, step):
+    """sum_p w_p F(update_p(rho_hat), update_p(rho_e)), one filter_update at a time."""
+    weights = step.errors.eta @ raw_jump_probabilities(step.family, rho_hat)
+    return sum(
+        w * fidelity(
+            filter_update(FilterState(rho_hat), step, p).estimate,
+            filter_update(FilterState(rho_e), step, p).estimate,
+        )
+        for p, w in enumerate(weights)
+        if w > PROB_FLOOR
+    )
 
 
 class TestExactOneStep:
@@ -66,6 +83,51 @@ class TestExactOneStep:
         check = exact_one_step_submartingale(rho_hat, rho_e, step)
         assert check.regularized_outcomes == (1,)
         assert check.slack >= -1e-9
+
+    def test_rhs_matches_serial_filter_updates(self, rng, projective_family):
+        cases = []
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            m_ideal, m_real = (int(k) for k in rng.integers(2, 5, size=2))
+            step = random_measurement_step(rng, d, m_ideal, m_real)
+            rank = int(rng.integers(1, d + 1))  # rank-deficient rho_e included
+            cases.append((
+                random_density_operator(rng, d),
+                random_density_operator(rng, d, rank=rank),
+                step,
+            ))
+        # outcome 1 has no weight from rho_e: its update is regularized
+        cases.append((
+            DensityOperator(np.diag([0.3, 0.7])),
+            DensityOperator.basis_state(2, 0),
+            MeasurementStep(projective_family, ErrorModel.identity(2)),
+        ))
+        for rho_hat, rho_e, step in cases:
+            check = exact_one_step_submartingale(rho_hat, rho_e, step)
+            assert abs(check.rhs - serial_rhs(rho_hat, rho_e, step)) <= 1e-12
+        assert check.regularized_outcomes == (1,)
+
+    def test_all_zero_eta_row_is_skipped(self, projective_family, rng):
+        # reading 2 never occurs: weight 0, no ZeroEvidenceError
+        step = MeasurementStep(
+            projective_family, ErrorModel([[0.9, 0.2], [0.1, 0.8], [0.0, 0.0]])
+        )
+        rho_hat = random_density_operator(rng, 2)
+        rho_e = random_density_operator(rng, 2)
+        check = exact_one_step_submartingale(rho_hat, rho_e, step)
+        assert check.outcome_weights[2] == 0.0
+        assert check.rhs == pytest.approx(serial_rhs(rho_hat, rho_e, step), abs=1e-12)
+        assert check.slack >= -1e-9
+
+    def test_no_outcome_above_the_floor(self, rng):
+        # a loosely declared family can give every reading weight below
+        # PROB_FLOOR: the expectation is then 0, not a crash
+        family = KrausFamily([1e-7 * np.eye(2)], completeness_tolerance=2.0)
+        step = MeasurementStep(family, ErrorModel.identity(1))
+        rho = random_density_operator(rng, 2)
+        with pytest.raises(SubmartingaleViolationError) as err:
+            exact_one_step_submartingale(rho, rho, step)
+        assert err.value.rhs == 0.0
 
     def test_violation_raises(self, two_level_step, rng):
         # force a false "theorem" by lying about the tolerance
@@ -159,7 +221,7 @@ class TestFidelityInequality:
         )
         assert check.lhs == pytest.approx(1.0, abs=1e-12)
         assert check.rhs == pytest.approx(1.0, abs=1e-11)
-        assert abs(sum(check.part_weights) - 1.0) < 1e-12
+        assert abs(sum(check.outcome_weights) - 1.0) < 1e-12
 
     def test_degenerate_sigma_part_regularized(self):
         d = 3
@@ -171,7 +233,7 @@ class TestFidelityInequality:
         check = check_fidelity_inequality(
             projectors, [[0], [1, 2]], rho, sigma
         )
-        assert check.degenerate_parts == (0,)
+        assert check.regularized_outcomes == (0,)
         assert check.slack >= -1e-9
 
     def test_bad_partition_rejected(self, rng):
@@ -244,3 +306,22 @@ class TestFidelityInequality:
             assert abs(check.lhs - one_step.lhs) <= 1e-12
             assert abs(check.rhs - one_step.rhs) <= 1e-10
             assert check.slack >= -1e-9
+
+    def test_is_the_one_step_check_with_an_indicator_detector(self, rng):
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            family = random_kraus_family(rng, d, int(rng.integers(1, 7)))
+            partition = _random_partition(rng, family.count)
+            indicator = np.zeros((len(partition), family.count))
+            for j, part in enumerate(partition):
+                indicator[j, part] = 1.0
+            step = MeasurementStep(family, ErrorModel(indicator))
+            rho = random_density_operator(rng, d)
+            sigma = random_density_operator(rng, d, rank=int(rng.integers(1, d + 1)))
+            check = check_fidelity_inequality(family.operators, partition, rho, sigma)
+            one_step = exact_one_step_submartingale(rho, sigma, step)
+            assert abs(check.lhs - one_step.lhs) <= 1e-14
+            assert abs(check.rhs - one_step.rhs) <= 1e-14
+            weights = check.outcome_weights - one_step.outcome_weights
+            assert np.abs(weights).max() <= 1e-14
+            assert check.regularized_outcomes == one_step.regularized_outcomes
