@@ -232,7 +232,7 @@ def _write_summary(
                 writer.writerow(
                     [
                         pair_key,
-                        k + 1,
+                        k,
                         repr(float(rep.mean_fidelity[k])),
                         repr(float(rep.mean_delta[k - 1])) if k >= 1 else "",
                         repr(float(rep.se_delta[k - 1])) if k >= 1 else "",

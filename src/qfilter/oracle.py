@@ -21,7 +21,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances
-from .errors import CombinatorialExplosionError, DimensionMismatchError, ZeroEvidenceError
+from .errors import (
+    CombinatorialExplosionError,
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    ZeroEvidenceError,
+)
 from .filtering import MeasurementStep
 from .kraus import PROB_FLOOR
 
@@ -54,7 +59,7 @@ def _check_instance(
                 f"step dimension {step.dim} != initial dimension {initial.dim}"
             )
         if not 0 <= int(p) < step.m_real:
-            raise DimensionMismatchError(
+            raise IndexOutOfRangeError(
                 f"outcome {p} out of range for m_real={step.m_real}"
             )
         total *= step.m_ideal

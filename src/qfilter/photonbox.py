@@ -11,17 +11,21 @@ probes the field suffers weak damping/thermal excitation (``decoherence_strength
 amplitude alpha (the control input).
 
 This yields 7 atom jumps x 3 cavity jumps = 21 composite Kraus operators per
-step and 6 possible detector readings (nothing, g, e, gg, ge, ee), linked by
-a 6 x 21 left-stochastic error matrix whose columns depend only on the atom
-jump. The atom sector is exactly complete; the cavity sector is complete to
-second order in the decoherence strength, so the family carries a measured
-completeness tolerance.
+step, formed as one batched product of the two sectors, and 6 possible
+detector readings (nothing, g, e, gg, ge, ee), linked by a 6 x 21
+left-stochastic error matrix whose columns depend only on the atom jump: each
+is the distribution of the unordered reading of the jump's 0, 1 or 2 atoms,
+read independently through one atom's readout table. The atom sector is
+exactly complete; the cavity sector is complete to second order in the
+decoherence strength, so the family carries a measured completeness tolerance.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -72,10 +76,15 @@ class PhotonBoxParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p_atom", tuple(self.p_atom))
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, numbers.Integral):
+            raise ValidationError(f"n_max must be an integer, got {self.n_max!r}")
         if self.n_max < 1:
             raise ValidationError(f"n_max must be >= 1, got {self.n_max}")
         if len(self.p_atom) != 3:
             raise ValidationError("p_atom needs exactly three probabilities")
+        for name, value in vars(self).items():
+            if name != "n_max" and not np.all(np.isfinite(value)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if any(p < 0.0 or p > 1.0 for p in self.p_atom):
             raise ValidationError(f"p_atom entries must lie in [0, 1]: {self.p_atom}")
         total = self.p_atom[0] + self.p_atom[1] + self.p_atom[2]
@@ -87,10 +96,18 @@ class PhotonBoxParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if not self.decoherence_strength > 0.0:
-            raise ValidationError("decoherence_strength must be positive")
-        if not self.thermal_occupation > 0.0:
-            raise ValidationError("thermal_occupation must be positive")
+        for name in ("decoherence_strength", "thermal_occupation"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(f"{name} must be positive")
+        # Smallest diagonal entry of the no-jump cavity operator "o", at n_max:
+        # at or below zero the first-order damping model no longer applies.
+        eps, n_th = self.decoherence_strength, self.thermal_occupation
+        o_min = 1.0 - eps * ((1.0 + 2.0 * n_th) * self.n_max + n_th) / 2.0
+        if not o_min > 0.0:
+            raise ValidationError(
+                f"decoherence_strength {eps} too strong for n_max={self.n_max}: the "
+                f"no-jump cavity operator has diagonal entry {o_min:.3g} <= 0"
+            )
 
     @property
     def dim(self) -> int:
@@ -141,12 +158,6 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _probe_phases(params: PhotonBoxParams) -> np.ndarray:
-    """Per-photon-number phase picked up by one probe atom."""
-    n = np.arange(params.dim, dtype=np.float64)
-    return (params.phase_per_photon * (n + 0.5) + params.reference_phase) / 2.0
-
-
 def l_operators(params: PhotonBoxParams) -> Dict[str, np.ndarray]:
     """The ten elementary jump operators, keyed by jump label.
 
@@ -154,15 +165,18 @@ def l_operators(params: PhotonBoxParams) -> Dict[str, np.ndarray]:
     fixed points of the probe): "no" (empty sample), "g"/"e" (one atom
     collapsed to ground/excited), "gg"/"ge"/"eg"/"ee" (two atoms; "ge" and
     "eg" carry equal matrices but are distinct jumps). Cavity jumps:
-    "o" (no photon exchange), "+" (thermal photon captured), "-" (photon
-    lost). The atom sector satisfies sum L^dag L = I exactly; the cavity
-    sector does so up to O(decoherence_strength^2) plus a truncation-corner
-    artifact, see ``cavity_completeness_deficit``.
+    "o" (no photon exchange), "+" (a photon lost to the environment,
+    sqrt(eps (1 + n_th)) a) and "-" (a thermal photon gained from it,
+    sqrt(eps n_th) adag). The atom sector satisfies sum L^dag L = I
+    exactly; the cavity sector does so up to O(decoherence_strength^2) plus
+    a truncation-corner artifact, see ``cavity_completeness_deficit``.
     """
     d = params.dim
     a, a_dag, n_op = fock_operators(params.n_max)
     eye = np.eye(d, dtype=np.complex128)
-    phases = _probe_phases(params)
+    # per-photon-number phase picked up by one probe atom
+    n = np.arange(d, dtype=np.float64)
+    phases = (params.phase_per_photon * (n + 0.5) + params.reference_phase) / 2.0
     cos_phi = np.diag(np.cos(phases)).astype(np.complex128)
     sin_phi = np.diag(np.sin(phases)).astype(np.complex128)
 
@@ -227,71 +241,15 @@ def composite_kraus(params: PhotonBoxParams, alpha: complex = 0.0) -> KrausFamil
     """
     alpha = complex(alpha)
     elementary = l_operators(params)
-    d_alpha = displacement(alpha, params.n_max)
-    cavity_displaced = {qc: elementary[qc] @ d_alpha for qc in CAVITY_JUMPS}
-
-    ops = []
-    labels = []
-    for qa in ATOM_JUMPS:
-        for qc in CAVITY_JUMPS:
-            ops.append(cavity_displaced[qc] @ elementary[qa])
-            labels.append(f"({qa},{qc})")
-
-    stacked = np.asarray(ops)
-    defect_spectrum = np.linalg.eigvalsh(_gram(stacked) - np.eye(params.dim))
+    atoms = np.stack([elementary[qa] for qa in ATOM_JUMPS])
+    cavity = np.stack([elementary[qc] for qc in CAVITY_JUMPS])
+    cavity = cavity @ displacement(alpha, params.n_max)
+    d = params.dim
+    stacked = (cavity[None] @ atoms[:, None]).reshape(-1, d, d)
+    labels = [f"({qa},{qc})" for qa in ATOM_JUMPS for qc in CAVITY_JUMPS]
+    defect_spectrum = np.linalg.eigvalsh(_gram(stacked) - np.eye(d))
     tolerance = float(np.abs(defect_spectrum).max()) * (1.0 + 1e-9) + 1e-14
     return KrausFamily(stacked, completeness_tolerance=tolerance, labels=labels)
-
-
-def _atom_detection_column(
-    qa: str, eps_d: float, eta_g: float, eta_e: float
-) -> np.ndarray:
-    """Detection distribution (over DETECTIONS) for one atom jump.
-
-    Each atom is independently detected with probability eps_d; a detected
-    ground-state atom is misread as excited with probability eta_g and vice
-    versa with eta_e. A double detection does not resolve atom order, so
-    "ge" and "eg" share a column.
-    """
-    miss = 1.0 - eps_d
-    g_ok = 1.0 - eta_g
-    e_ok = 1.0 - eta_e
-    if qa == "no":
-        col = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    elif qa == "g":
-        col = [miss, eps_d * g_ok, eps_d * eta_g, 0.0, 0.0, 0.0]
-    elif qa == "e":
-        col = [miss, eps_d * eta_e, eps_d * e_ok, 0.0, 0.0, 0.0]
-    elif qa == "gg":
-        col = [
-            miss * miss,
-            2.0 * eps_d * miss * g_ok,
-            2.0 * eps_d * miss * eta_g,
-            eps_d * eps_d * g_ok * g_ok,
-            2.0 * eps_d * eps_d * eta_g * g_ok,
-            eps_d * eps_d * eta_g * eta_g,
-        ]
-    elif qa == "ee":
-        col = [
-            miss * miss,
-            2.0 * eps_d * miss * eta_e,
-            2.0 * eps_d * miss * e_ok,
-            eps_d * eps_d * eta_e * eta_e,
-            2.0 * eps_d * eps_d * eta_e * e_ok,
-            eps_d * eps_d * e_ok * e_ok,
-        ]
-    elif qa in ("ge", "eg"):
-        col = [
-            miss * miss,
-            eps_d * miss * (g_ok + eta_e),
-            eps_d * miss * (e_ok + eta_g),
-            eps_d * eps_d * eta_e * g_ok,
-            eps_d * eps_d * (g_ok * e_ok + eta_g * eta_e),
-            eps_d * eps_d * eta_g * e_ok,
-        ]
-    else:
-        raise ValidationError(f"unknown atom jump {qa!r}")
-    return np.asarray(col, dtype=np.float64)
 
 
 def detection_error_model(params: PhotonBoxParams) -> ErrorModel:
@@ -299,14 +257,28 @@ def detection_error_model(params: PhotonBoxParams) -> ErrorModel:
 
     Columns follow the composite_kraus ordering and depend only on the atom
     jump (cavity jumps and the displacement drive are invisible to the atom
-    detector). Every column sums to 1 exactly in exact arithmetic.
+    detector). Each atom of the jump is independently detected with
+    probability ``detection_efficiency``; a detected ground-state atom is
+    misread as excited with probability ``assign_error_g`` and vice versa
+    with ``assign_error_e``. A double detection does not resolve atom
+    order, so "ge" and "eg" share a column. Every column sums to 1 in exact
+    arithmetic.
     """
     eps_d = params.detection_efficiency
     eta_g = params.assign_error_g
     eta_e = params.assign_error_e
+    # P(reading | atom state); a missed atom reads "" and adds no letter.
+    readout = {
+        "g": (("", 1.0 - eps_d), ("g", eps_d * (1.0 - eta_g)), ("e", eps_d * eta_g)),
+        "e": (("", 1.0 - eps_d), ("g", eps_d * eta_e), ("e", eps_d * (1.0 - eta_e))),
+    }
     columns = []
     for qa in ATOM_JUMPS:
-        col = _atom_detection_column(qa, eps_d, eta_g, eta_e)
-        for _ in CAVITY_JUMPS:
-            columns.append(col)
+        col = dict.fromkeys(DETECTIONS, 0.0)
+        atoms = qa.replace("no", "")  # the empty sample has no atom to read
+        for reads in itertools.product(*(readout[atom] for atom in atoms)):
+            # unordered: "g" before "e", as in DETECTIONS
+            reading = "".join(sorted((r for r, _ in reads), reverse=True)) or "no"
+            col[reading] += math.prod(p for _, p in reads)
+        columns += [list(col.values())] * len(CAVITY_JUMPS)
     return ErrorModel(np.column_stack(columns))

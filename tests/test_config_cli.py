@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -309,6 +310,29 @@ class TestCli:
         path.write_text(json.dumps(raw))
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("decoherence_strength", 1e200), ("decoherence_strength", 2.0), ("n_max", 10.0)],
+    )
+    def test_unphysical_photonbox_params_exit_code(self, tmp_path, key, value):
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["model"]["params"][key] = value
+        path = tmp_path / "unphysical.json"
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+
+    def test_summary_rows_run_from_zero_to_horizon(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(CONFIGS / "two_level.json"), "--out", str(out)])
+        assert code == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        horizon = load_config(CONFIGS / "two_level.json").horizon
+        assert [int(row["k"]) for row in rows] == list(range(horizon + 1))
+        assert rows[0]["mean_delta"] == ""
+        assert rows[-1]["mean_delta"] != ""
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_json_number_exit_code(self, tmp_path, literal, caplog):

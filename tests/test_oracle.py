@@ -14,7 +14,11 @@ from qfilter import (
     run_filter,
     sequence_posterior,
 )
-from qfilter.errors import CombinatorialExplosionError, ZeroEvidenceError
+from qfilter.errors import (
+    CombinatorialExplosionError,
+    IndexOutOfRangeError,
+    ZeroEvidenceError,
+)
 from qfilter.stability import random_density_operator, random_measurement_step
 
 
@@ -52,6 +56,16 @@ class TestDirectEstimate:
         vac = DensityOperator.basis_state(2, 0)
         with pytest.raises(ZeroEvidenceError):
             direct_estimate(vac, [step], [1])
+
+
+@pytest.mark.parametrize("outcome", [-1, 2])
+def test_outcome_out_of_range_is_the_filter_error(two_level_step, mixed_qubit, outcome):
+    # the oracle and the recursion reject the same bad record the same way
+    for call in (direct_estimate, marginal_evidence, sequence_posterior):
+        with pytest.raises(IndexOutOfRangeError):
+            call(mixed_qubit, [two_level_step], [outcome])
+    with pytest.raises(IndexOutOfRangeError):
+        run_filter(mixed_qubit, [two_level_step], [outcome])
 
 
 class TestSequencePosterior:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfilter.errors import TruncationWarning, ValidationError
 from qfilter.photonbox import (
@@ -134,9 +136,11 @@ class TestCompositeKraus:
         family = composite_kraus(params, alpha)
         ops = l_operators(params)
         d_alpha = displacement(alpha, params.n_max)
-        expected = ops["+"] @ d_alpha @ ops["ge"]
-        idx = family.labels.index("(ge,+)")
-        assert np.abs(family.operators[idx] - expected).max() == 0.0
+        for qa in ATOM_JUMPS:
+            for qc in CAVITY_JUMPS:
+                expected = ops[qc] @ d_alpha @ ops[qa]
+                idx = family.labels.index(f"({qa},{qc})")
+                assert np.array_equal(family.operators[idx], expected), (qa, qc)
 
     def test_p_atom_list_is_coerced(self):
         # a JSON list must give the same hashable, cached family as a tuple
@@ -195,6 +199,52 @@ class TestDetectionErrorModel:
         col = eta[:, 3 * ATOM_JUMPS.index("g")]
         assert col == pytest.approx([0.2, 0.72, 0.08, 0.0, 0.0, 0.0], abs=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps_d=st.floats(0.0, 1.0),
+        eta_g=st.floats(0.0, 1.0),
+        eta_e=st.floats(0.0, 1.0),
+    )
+    def test_two_atom_columns_closed_form(self, eps_d, eta_g, eta_e):
+        params = PhotonBoxParams(
+            detection_efficiency=eps_d, assign_error_g=eta_g, assign_error_e=eta_e
+        )
+        eta = detection_error_model(params).eta
+        miss, g_ok, e_ok = 1.0 - eps_d, 1.0 - eta_g, 1.0 - eta_e
+        mixed = [
+            miss * miss,
+            eps_d * miss * (g_ok + eta_e),
+            eps_d * miss * (e_ok + eta_g),
+            eps_d * eps_d * eta_e * g_ok,
+            eps_d * eps_d * (g_ok * e_ok + eta_g * eta_e),
+            eps_d * eps_d * eta_g * e_ok,
+        ]
+        expected = {
+            "gg": [
+                miss * miss,
+                2.0 * eps_d * miss * g_ok,
+                2.0 * eps_d * miss * eta_g,
+                eps_d * eps_d * g_ok * g_ok,
+                2.0 * eps_d * eps_d * eta_g * g_ok,
+                eps_d * eps_d * eta_g * eta_g,
+            ],
+            "ge": mixed,
+            "eg": mixed,
+            "ee": [
+                miss * miss,
+                2.0 * eps_d * miss * eta_e,
+                2.0 * eps_d * miss * e_ok,
+                eps_d * eps_d * eta_e * eta_e,
+                2.0 * eps_d * eps_d * eta_e * e_ok,
+                eps_d * eps_d * e_ok * e_ok,
+            ],
+        }
+        for qa, col in expected.items():
+            got = eta[:, 3 * ATOM_JUMPS.index(qa)]
+            assert np.abs(got - col).max() <= 1e-15, qa
+        ge, eg = (eta[:, 3 * ATOM_JUMPS.index(qa)] for qa in ("ge", "eg"))
+        assert np.array_equal(ge, eg)
+
     def test_columns_stochastic_across_parameter_space(self, rng):
         for _ in range(100):
             p = rng.dirichlet(np.ones(3))
@@ -227,3 +277,39 @@ class TestParams:
     def test_decoherence_must_be_positive(self):
         with pytest.raises(ValidationError):
             PhotonBoxParams(decoherence_strength=0.0)
+
+    @pytest.mark.parametrize("n_max", [2.5, 10.0, True, "10"])
+    def test_n_max_must_be_an_integer(self, n_max):
+        with pytest.raises(ValidationError):
+            PhotonBoxParams(n_max=n_max)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["phase_per_photon", "reference_phase", "thermal_occupation", "decoherence_strength"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValidationError):
+            PhotonBoxParams(**{name: value})
+
+    def test_p_atom_must_be_finite(self):
+        with pytest.raises(ValidationError):
+            PhotonBoxParams(p_atom=(math.nan, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "eps, n_th, n_max", [(2.0, 5e-2, 10), (1e200, 5e-2, 10), (0.2, 0.5, 5)]
+    )
+    def test_no_jump_operator_must_stay_positive(self, eps, n_th, n_max):
+        # eps * ((1 + 2 n_th) n_max + n_th) / 2 >= 1: the "o" corner is <= 0
+        with pytest.raises(ValidationError):
+            PhotonBoxParams(
+                n_max=n_max, decoherence_strength=eps, thermal_occupation=n_th
+            )
+
+    def test_strongest_verify_draw_is_accepted(self):
+        # the verify suite draws eps <= 10^-1.5, n_th <= 0.1 and n_max <= 10
+        params = PhotonBoxParams(
+            n_max=10, decoherence_strength=10**-1.5, thermal_occupation=0.1
+        )
+        o = l_operators(params)["o"]
+        assert np.diag(o).real.min() == pytest.approx(1.0 - 0.191, abs=1e-3)
