@@ -139,6 +139,8 @@ def _prepare(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output_directory"] = args.out
@@ -354,6 +356,8 @@ def cmd_photonbox_export(args) -> int:
         out = Path(args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
     alpha = complex(args.alpha[0], args.alpha[1])
+    if not np.isfinite(alpha):
+        raise ConfigError(f"--alpha must be finite, got {alpha}")
 
     elementary = l_operators(params)
     family = composite_kraus(params, alpha)

@@ -407,12 +407,13 @@ def build_steps(model: Dict, horizon: int) -> List[MeasurementStep]:
                 )
         else:
             schedule = [complex(alpha[0], alpha[1])] * horizon
-        return [
-            MeasurementStep(
+        steps = {  # one step per distinct alpha: building a step factors eta
+            a: MeasurementStep(
                 composite_kraus(params, a), errors, label=f"photonbox(alpha={a})"
             )
-            for a in schedule[:horizon]
-        ]
+            for a in set(schedule[:horizon])
+        }
+        return [steps[a] for a in schedule[:horizon]]
 
     try:
         declared = [step_from_dict(s) for s in model["steps"]]

@@ -36,6 +36,7 @@ from .kraus import (
     PROB_FLOOR,
     KrausFamily,
     _clamp_and_renormalize,
+    _factor_rows,
     raw_jump_probabilities,
     weighted_image,
 )
@@ -59,7 +60,11 @@ EPS_STABILIZATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """One time step: a Kraus family paired with its detection-error matrix."""
+    """One time step: a Kraus family paired with its detection-error matrix.
+
+    Building it factors eta against the family once for the block engine:
+    ``_factors`` = (outer, W, v) of ``kraus._factor_rows``.
+    """
 
     family: KrausFamily
     errors: ErrorModel
@@ -71,6 +76,7 @@ class MeasurementStep:
                 f"family has {self.family.count} jumps but error model expects "
                 f"m_ideal={self.errors.m_ideal}"
             )
+        object.__setattr__(self, "_factors", _factor_rows(self.family, self.errors.eta))
 
     @property
     def m_real(self) -> int:

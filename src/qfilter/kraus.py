@@ -2,8 +2,14 @@
 
 A family {M_q} with sum_q M_q^dag M_q = I describes one measurement step.
 Detecting jump q collapses rho to M_q rho M_q^dag / tr(...), with
-probability tr(M_q rho M_q^dag). Families are stored stacked (m, d, d) so
-the per-step linear algebra is a handful of batched numpy calls.
+probability tr(M_q rho M_q^dag).
+
+A family is stored as its factors: J inner diagonals a_j (J, d) and K outer
+operators B_k (K, d, d), with M_(j*K + k) = B_k diag(a_j); unfactored, J = 1
+and B = M. As M_q rho M_q^dag = B_k ((a_j a_j^dag) o rho) B_k^dag (o is the
+elementwise product), the per-step algebra is a few batched numpy calls over
+the K outer operators. A factored family (the photon box) builds its dense
+stack ``operators`` only on request, for callers outside the step engine.
 
 Approximately complete families (deficit up to a declared tolerance) are
 accepted; probability vectors are then renormalized. This accommodates
@@ -14,7 +20,7 @@ in a small decoherence parameter.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,22 +45,26 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 
-def _gram(ops: np.ndarray) -> np.ndarray:
-    """sum_q M_q^dag M_q of a stack (m, d, d), as one (d, m*d) @ (m*d, d) gemm."""
-    flat = ops.reshape(-1, ops.shape[-1])
-    return flat.conj().T @ flat
+def _gram(inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """sum_q M_q^dag M_q = (sum_j conj(a_j) a_j^T) o (sum_k B_k^dag B_k).
+
+    ``flat`` is the outer stack as (K*d, d), so its Gram is one gemm.
+    """
+    return (inner.conj().T @ inner) * (flat.conj().T @ flat)
 
 
 class KrausFamily:
     """Ordered set of same-dimension Kraus operators with completeness check.
 
     Labels are human-readable metadata only; all math indexes by position.
+    ``KrausFamily(operators)`` is an unfactored family; ``_factored`` builds
+    one from its inner diagonals and outer stack.
     """
 
     __slots__ = (
-        "operators",
         "labels",
         "completeness_tolerance",
+        "_inner",
         "_flat",
         "_adjoints_flat",
     )
@@ -75,42 +85,53 @@ class KrausFamily:
             raise ValidationError("a Kraus family needs at least one operator")
         if not np.all(np.isfinite(ops)):
             raise ValidationError("Kraus operators contain NaN or Inf entries")
-        if labels is not None and len(labels) != ops.shape[0]:
-            raise ValidationError(
-                f"{len(labels)} labels for {ops.shape[0]} operators"
-            )
+        ones = np.ones((1, ops.shape[1]))
+        self._set_factors(ones, ops, completeness_tolerance, labels)
 
-        tol = completeness_tolerance
+    @classmethod
+    def _factored(cls, inner, outer, tolerance, labels=None) -> "KrausFamily":
+        """The family M_(j*K + k) = outer[k] @ diag(inner[j]), stored as its factors."""
+        family = cls.__new__(cls)
+        family._set_factors(inner, outer, tolerance, labels)
+        return family
+
+    def _set_factors(self, inner, outer, tol, labels) -> None:
+        (j, d), k = inner.shape, len(outer)
+        if labels is not None and len(labels) != j * k:
+            raise ValidationError(f"{len(labels)} labels for {j * k} operators")
         if not 0.0 <= tol < math.inf:
             raise ValidationError(
                 f"completeness_tolerance must be finite and >= 0, got {tol!r}"
             )
-        deviation = float(np.abs(_gram(ops) - np.eye(ops.shape[1])).max())
+        # Read-only, contiguous (K*d, d) layouts so per-step algebra is two gemms.
+        inner, outer = np.ascontiguousarray(inner), np.ascontiguousarray(outer)
+        adjoints = outer.conj().transpose(0, 2, 1).reshape(k * d, d)
+        for array in (inner, outer, adjoints):
+            array.flags.writeable = False
+        self._inner, self._flat = inner, outer.reshape(k * d, d)
+        self._adjoints_flat = adjoints
+        deviation = float(np.abs(_gram(inner, self._flat) - np.eye(d)).max())
         if deviation > tol:
             raise CompletenessViolationError(deviation, tol)
-
-        m, d, _ = ops.shape
-        ops = np.ascontiguousarray(ops)
-        ops.flags.writeable = False
-        # Contiguous (m*d, d) layouts so per-step algebra is two gemms.
-        flat = ops.reshape(m * d, d)
-        adj_flat = np.ascontiguousarray(
-            ops.conj().transpose(0, 2, 1)
-        ).reshape(m * d, d)
-        adj_flat.flags.writeable = False
-        self.operators = ops
-        self._flat = flat
-        self._adjoints_flat = adj_flat
         self.labels = tuple(labels) if labels is not None else None
         self.completeness_tolerance = float(tol)
 
     @property
+    def operators(self) -> np.ndarray:
+        """The dense stack (m, d, d); a factored family builds it on each call."""
+        d = self.dim
+        outer = self._flat.reshape(-1, d, d)
+        if len(self._inner) == 1 and (self._inner == 1).all():
+            return outer
+        return (outer[None] * self._inner[:, None, None, :]).reshape(-1, d, d)
+
+    @property
     def count(self) -> int:
-        return self.operators.shape[0]
+        return len(self._inner) * (self._flat.shape[0] // self.dim)
 
     @property
     def dim(self) -> int:
-        return self.operators.shape[1]
+        return self._flat.shape[1]
 
     def __len__(self) -> int:
         return self.count
@@ -130,49 +151,58 @@ def _check_dim(family: KrausFamily, rho: DensityOperator) -> None:
 
 
 def _weighted_images(
-    family: KrausFamily,
-    weights: np.ndarray,
-    stack: np.ndarray,
-    images: np.ndarray,
-    weighted: np.ndarray,
+    family: KrausFamily, weights: np.ndarray, stack: np.ndarray
 ) -> np.ndarray:
-    """sum_q weights[n, q] M_q rho_n M_q^dag for a stack (N, d, d), as (N*d, d).
+    """sum_k weights[n, k] B_k x_n B_k^dag over the outer stack, for x (N, d, d).
 
-    Two gemms through caller-owned workspaces of N*m*d*d entries each: the
-    images M_q rho_n of the states side by side, (m*d, d) @ (d, N*d), then
-    their weighted rearrangement (N*d, m*d) @ (m*d, d).
+    Returns (N*d, d), from two gemms: the images B_k x_n of the states side
+    by side, (K*d, d) @ (d, N*d), then their weighted rearrangement
+    (N*d, K*d) @ (K*d, d). For an unfactored family B = M.
     """
-    m, d = family.count, family.dim
-    n = stack.shape[0]
-    images = images.reshape(m * d, n * d)
-    np.matmul(family._flat, stack.transpose(1, 0, 2).reshape(d, n * d), out=images)
-    weighted = weighted.reshape(n, d, m, d)
-    np.multiply(
-        images.reshape(m, d, n, d).transpose(2, 1, 0, 3),
-        weights.reshape(n, 1, m, 1),
-        out=weighted,
-    )
-    return weighted.reshape(n * d, m * d) @ family._adjoints_flat
+    n, d = stack.shape[:2]
+    k = len(family._flat) // d
+    images = family._flat @ stack.transpose(1, 0, 2).reshape(d, n * d)
+    per_state = images.reshape(k, d, n, d).transpose(2, 1, 0, 3)  # (N, d, K, d)
+    weighted = per_state * weights[:, None, :, None]
+    return weighted.reshape(n * d, k * d) @ family._adjoints_flat
+
+
+def _factor_rows(
+    family: KrausFamily, eta: np.ndarray
+) -> Tuple[KrausFamily, np.ndarray, np.ndarray]:
+    """(outer, W, v) with sum_q eta[p, q] M_q x M_q^dag = sum_k v[p, k] B_k x_p B_k^dag.
+
+    Here x_p = W_p o x. If eta[p, j*K + k] does not depend on k (the detector
+    sees only the inner jump), outer is the family, W_p = sum_j eta[p, j*K]
+    a_j a_j^dag and v = 1; else outer is the unfactored family, W_p = 1, v = eta.
+    """
+    j = len(family._inner)
+    rows = eta.reshape(len(eta), j, -1)
+    if j > 1 and (rows == rows[:, :, :1]).all():
+        u, v = rows[:, :, 0], np.ones(rows.shape[::2])
+    else:
+        if j > 1:
+            tol = family.completeness_tolerance
+            family = KrausFamily(family.operators, completeness_tolerance=tol)
+        u, v = np.ones((len(eta), 1)), eta
+    a = family._inner
+    hadamard = u @ (a[:, :, None] * a.conj()[:, None, :]).reshape(len(a), -1)
+    return family, hadamard.reshape(-1, family.dim, family.dim), v
 
 
 def weighted_image(
     family: KrausFamily, weights: np.ndarray, rho_matrix: np.ndarray
 ) -> np.ndarray:
-    """sum_q weights[q] M_q rho M_q^dag as two gemms over the stacked family."""
-    size = family.count * family.dim**2
-    return _weighted_images(
-        family,
-        np.reshape(weights, (1, -1)),
-        rho_matrix[None],
-        np.empty(size, dtype=np.complex128),
-        np.empty(size, dtype=np.complex128),
-    )
+    """sum_q weights[q] M_q rho M_q^dag as two gemms over the outer stack."""
+    outer, hadamard, v = _factor_rows(family, np.reshape(weights, (1, -1)))
+    return _weighted_images(outer, v, hadamard * rho_matrix)
 
 
 def _effects(family: KrausFamily) -> np.ndarray:
-    """The effects E_q = M_q^dag M_q, stacked (m, d, d)."""
-    m, d = family.count, family.dim
-    return family._adjoints_flat.reshape(m, d, d) @ family.operators
+    """The effects E_(j,k) = conj(a_j) a_j^T o B_k^dag B_k, stacked (m, d, d)."""
+    d, a = family.dim, family._inner
+    gram = family._adjoints_flat.reshape(-1, d, d) @ family._flat.reshape(-1, d, d)
+    return (a.conj()[:, None, :, None] * gram * a[:, None, None, :]).reshape(-1, d, d)
 
 
 def _traces(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -213,11 +243,16 @@ def _jumps(
 ) -> np.ndarray:
     """M_q[n] rho_n M_q[n]^dag / tr(...) for a stack (N, d, d) and jumps q (N,).
 
+    With q = j*K + k, the image is B_k ((a_j a_j^dag) o rho_n) B_k^dag.
     Raises ZeroProbabilityJumpError for the first jump whose trace is at or
     below PROB_FLOOR. Writes to ``out`` when given.
     """
-    m, d = family.count, family.dim
-    jumped = family.operators[q] @ stack @ family._adjoints_flat.reshape(m, d, d)[q]
+    d = family.dim
+    j, k = np.divmod(q, family._flat.shape[0] // d)
+    a = family._inner[j]
+    x = stack * (a[:, :, None] * a.conj()[:, None, :])
+    outer = family._flat.reshape(-1, d, d)
+    jumped = outer[k] @ x @ family._adjoints_flat.reshape(-1, d, d)[k]
     prob = jumped.trace(axis1=1, axis2=2).real
     low = prob <= PROB_FLOOR
     if low.any():

@@ -11,7 +11,7 @@ probes the field suffers weak damping/thermal excitation (``decoherence_strength
 amplitude alpha (the control input).
 
 This yields 7 atom jumps x 3 cavity jumps = 21 composite Kraus operators per
-step, formed as one batched product of the two sectors, and 6 possible
+step, stored as the two sectors they factor into, and 6 possible
 detector readings (nothing, g, e, gg, ge, ee), linked by a 6 x 21
 left-stochastic error matrix whose columns depend only on the atom jump: each
 is the distribution of the unordered reading of the jump's 0, 1 or 2 atoms,
@@ -132,14 +132,22 @@ def fock_operators(n_max: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, a_dag, n_op
 
 
+@functools.lru_cache(maxsize=None)
+def _generator_eigh(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Spectrum and eigenvectors of the Hermitian generator i(adag - a)."""
+    a, a_dag, _ = fock_operators(n_max)
+    return np.linalg.eigh(1j * (a_dag - a))
+
+
 def displacement(alpha: complex, n_max: int) -> np.ndarray:
     """Coherent displacement exp(alpha adag - alpha* a) on the truncated space.
 
-    The anti-Hermitian generator is diagonalized as i * (Hermitian) and
-    exponentiated on its eigenvalues, so the result is unitary to
-    eigensolver accuracy. For |alpha|^2 approaching the cutoff the operator
-    no longer matches the infinite-dimensional displacement; a warning is
-    emitted when |alpha|^2 > n_max / 4.
+    D(r e^(i theta)) = R D(r) R^dag with R = exp(i theta n) diagonal and
+    D(r) = exp(-i r H), exponentiated on the spectrum of H = i(adag - a),
+    which is diagonalized once per ``n_max``: unitary to eigensolver
+    accuracy, and exactly I at alpha = 0. For |alpha|^2 approaching the cutoff
+    the operator no longer matches the infinite-dimensional displacement; a
+    warning is emitted when |alpha|^2 > n_max / 4.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -151,11 +159,11 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    a, a_dag, _ = fock_operators(n_max)
-    generator = alpha * a_dag - np.conj(alpha) * a
-    hermitian = -1j * generator
-    w, v = np.linalg.eigh(hermitian)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    if alpha == 0:
+        return np.eye(n_max + 1, dtype=np.complex128)
+    w, v = _generator_eigh(n_max)
+    rotated = np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))[:, None] * v
+    return (rotated * np.exp(-1j * abs(alpha) * w)) @ rotated.conj().T
 
 
 def l_operators(params: PhotonBoxParams) -> Dict[str, np.ndarray]:
@@ -229,27 +237,34 @@ def cavity_completeness_deficit(
 
 
 @functools.lru_cache(maxsize=128)
+def _sectors(params: PhotonBoxParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The atom diagonals (7, d), real, and the cavity stack (3, d, d)."""
+    elementary = l_operators(params)
+    atoms = np.stack([np.diagonal(elementary[qa]).real for qa in ATOM_JUMPS])
+    return atoms, np.stack([elementary[qc] for qc in CAVITY_JUMPS])
+
+
+_LABELS = tuple(f"({qa},{qc})" for qa in ATOM_JUMPS for qc in CAVITY_JUMPS)
+
+
+@functools.lru_cache(maxsize=128)
 def composite_kraus(params: PhotonBoxParams, alpha: complex = 0.0) -> KrausFamily:
     """The 21 composite Kraus operators L_cavity @ D_alpha @ L_atom.
 
-    Ordered atom-major, cavity-minor, with labels like "(g,-)". The family's
-    completeness tolerance is set to its measured spectral-norm defect
-    (dominated by the cavity sector's second-order deficit plus truncation
-    leakage), so downstream probability checks stay honest.
-
-    Results are cached per (params, alpha); operators are immutable.
+    Ordered atom-major, cavity-minor, with labels like "(g,-)". The family
+    stores its sectors, not the 21 products: the atom diagonals are its
+    inner stack, L_cavity @ D_alpha its outer stack. Its completeness
+    tolerance is the measured spectral-norm defect (dominated by the cavity
+    sector's second-order deficit plus truncation leakage), so downstream
+    probability checks stay honest. Results are cached per (params, alpha),
+    the sectors per params.
     """
-    alpha = complex(alpha)
-    elementary = l_operators(params)
-    atoms = np.stack([elementary[qa] for qa in ATOM_JUMPS])
-    cavity = np.stack([elementary[qc] for qc in CAVITY_JUMPS])
-    cavity = cavity @ displacement(alpha, params.n_max)
+    atoms, cavity = _sectors(params)
+    outer = cavity @ displacement(alpha, params.n_max)
     d = params.dim
-    stacked = (cavity[None] @ atoms[:, None]).reshape(-1, d, d)
-    labels = [f"({qa},{qc})" for qa in ATOM_JUMPS for qc in CAVITY_JUMPS]
-    defect_spectrum = np.linalg.eigvalsh(_gram(stacked) - np.eye(d))
-    tolerance = float(np.abs(defect_spectrum).max()) * (1.0 + 1e-9) + 1e-14
-    return KrausFamily(stacked, completeness_tolerance=tolerance, labels=labels)
+    defect = _gram(atoms, outer.reshape(-1, d)) - np.eye(d)
+    tolerance = float(np.abs(np.linalg.eigvalsh(defect)).max()) * (1.0 + 1e-9) + 1e-14
+    return KrausFamily._factored(atoms, outer, tolerance, _LABELS)
 
 
 def detection_error_model(params: PhotonBoxParams) -> ErrorModel:

@@ -14,6 +14,11 @@ generator in the serial order, so its outcome stream does not depend on
 the block it runs in; its states and fidelities agree with a block of one
 to rounding. A callable StepProvider (feedback) runs in blocks of one,
 because each trajectory's next step depends on its own estimate.
+
+Block size: a filter update forms the images B_k x_n of the block's N states
+under the step's K outer operators and their weighted rearrangement, 32*K*d*d
+bytes per trajectory; a block holds BLOCK_BYTES // (32*K*d*d) trajectories
+(22 for the photon box, K = 3 and d = 11), at least one.
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ StepProvider = Union[
 ]
 
 
+def _check_seed(seed: Union[int, np.random.SeedSequence]) -> None:
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Inputs for one trajectory (or the template for an ensemble).
@@ -81,6 +91,7 @@ class TrajectoryConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not self.filter_initials:
@@ -130,10 +141,8 @@ class TrajectoryRecord:
         return len(self.real_outcomes)
 
 
-# Byte budget of one block's Kraus-image workspace: the (m*d, N*d) images of
-# N states and their weighted (N*d, m*d) rearrangement, 32*m*d*d bytes per
-# trajectory.
-BLOCK_BYTES = 1 << 19
+# Byte budget of one block's Kraus images (see the module docstring).
+BLOCK_BYTES = 1 << 18
 
 
 def _block_size(config: TrajectoryConfig) -> int:
@@ -145,9 +154,7 @@ def _block_size(config: TrajectoryConfig) -> int:
         return 1
     else:
         steps = provider[: config.horizon]
-    m = max(step.m_ideal for step in steps)
-    d = config.true_initial.dim
-    return max(1, BLOCK_BYTES // (32 * m * d * d))
+    return max(1, BLOCK_BYTES // (32 * max(s._factors[0]._flat.size for s in steps)))
 
 
 def _advance_truth(
@@ -218,23 +225,19 @@ def _update_filters(
     estimates: np.ndarray,
     p: np.ndarray,
     tolerances: Tolerances,
-    work: np.ndarray,
     out: np.ndarray,
 ) -> List[Tuple[int, int]]:
     """Write the filter updates of a stack (F, N, d, d) by readings p to out.
 
-    ``work`` holds the two Kraus-image workspaces. The updates are
-    re-symmetrized, not yet validated. Returns the (filter, row) pairs whose
-    denominator was at or below PROB_FLOOR: those rows went through
-    ``filter_update`` (its shrinking-epsilon branch) one at a time.
+    The updates are re-symmetrized, not yet validated. Returns the (filter,
+    row) pairs whose denominator was at or below PROB_FLOOR: those rows went
+    through ``filter_update`` (its shrinking-epsilon branch) one at a time.
     """
     n, d = estimates.shape[1], estimates.shape[-1]
-    half = work.size // 2
-    weights = step.errors.eta[p]
+    outer, hadamard, weights = step._factors
     for f, stack in enumerate(estimates):
-        out[f] = _weighted_images(
-            step.family, weights, stack, work[:half], work[half:]
-        ).reshape(n, d, d)
+        np.multiply(hadamard[p], stack, out=out[f])
+        out[f] = _weighted_images(outer, weights[p], out[f]).reshape(n, d, d)
     denominators = out.trace(axis1=-2, axis2=-1).real
     low = denominators <= PROB_FLOOR
     out /= np.where(low, 1.0, denominators)[..., None, None]
@@ -274,7 +277,6 @@ def _run_block(
     used_steps: List[MeasurementStep] = []
     history: List[np.ndarray] = []
     predictions: List[np.ndarray] = []
-    work = np.empty(0, dtype=np.complex128)
 
     for k in range(1, horizon + 1):
         step = _resolve_step(config.steps, k, DensityOperator._trusted(states[1, 0]))
@@ -290,13 +292,9 @@ def _run_block(
                     raw, family.completeness_tolerance
                 ).reshape(len(names), n, -1)
             )
-        need = 2 * n * family.count * d * d
-        if work.size < need:
-            work = np.empty(need, dtype=np.complex128)
-        regularized = _update_filters(
-            step, states[1:], p, config.tolerances, work[:need], produced[1:]
-        )
-        states = _validated(produced, config.tolerances)
+        tol = config.tolerances
+        regularized = _update_filters(step, states[1:], p, tol, produced[1:])
+        states = _validated(produced, tol)
         outcomes.append((q, p))
         for f, i in regularized:
             flagged[i].append((k, names[f]))
@@ -359,13 +357,14 @@ def run_ensemble(
     Seeds come from SeedSequence(base_seed).spawn, numpy's splittable
     scheme: trajectory i always sees the same stream regardless of how many
     trajectories run, and two ensembles with the same base seed are
-    bit-identical. Trajectories advance in blocks whose size fits the
-    Kraus-image workspace in BLOCK_BYTES (blocks of one under a feedback
-    StepProvider); record i equals run_trajectory with seed child i, its
-    outcome stream exactly and its states and fidelities to rounding.
+    bit-identical. Trajectories advance in blocks whose Kraus images fit in
+    BLOCK_BYTES (blocks of one under a feedback StepProvider); record i
+    equals run_trajectory with seed child i, its outcome stream exactly and
+    its states and fidelities to rounding.
     """
     if n_traj < 1:
         raise ValidationError(f"n_traj must be >= 1, got {n_traj}")
+    _check_seed(base_seed)
     children = np.random.SeedSequence(base_seed).spawn(n_traj)
     size = _block_size(config)
     records: List[TrajectoryRecord] = []

@@ -156,8 +156,7 @@ def _one_step(
         return 0.0, weights, ()
     stack = np.repeat(np.stack([rho.matrix, sigma.matrix])[:, None], n, axis=1)
     out = np.empty_like(stack)
-    work = np.empty(2 * n * step.m_ideal * step.dim**2, dtype=np.complex128)
-    regularized = _update_filters(step, stack, kept, DEFAULT_TOLERANCES, work, out)
+    regularized = _update_filters(step, stack, kept, DEFAULT_TOLERANCES, out)
     states = _validated(out, DEFAULT_TOLERANCES)
     rhs = float(weights[kept] @ _fidelities(states[0], states[1]))
     return rhs, weights, tuple(int(kept[i]) for f, i in regularized if f == 1)

@@ -348,6 +348,23 @@ class TestCli:
         assert str(path) in caplog.text
         assert "/model/steps/0/kraus/completeness_tolerance" in caplog.text
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_negative_seed_exit_code(self, tmp_path, command, caplog):
+        config = "two_level.json" if command == "simulate" else "verify_small.json"
+        code = main(
+            [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "o"),
+             "--seed", "-1"]
+        )
+        assert code == 1
+        assert "--seed" in caplog.text
+
+    @pytest.mark.parametrize("alpha", [["nan", "0"], ["inf", "0"], ["0", "nan"]])
+    def test_non_finite_alpha_exit_code(self, tmp_path, alpha, caplog):
+        code = main(["photonbox-export", "--out", str(tmp_path), "--alpha", *alpha])
+        assert code == 1
+        assert "--alpha" in caplog.text
+        assert not (tmp_path / "operators.json").exists()
+
     def test_photonbox_export(self, tmp_path):
         code = main(
             ["photonbox-export", "--out", str(tmp_path), "--alpha", "0.3", "0.0"]

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfilter import (
     DensityOperator,
@@ -20,12 +22,37 @@ from qfilter.errors import (
     RegularizationWarning,
     ZeroEvidenceError,
 )
-from qfilter.kraus import weighted_image
+from qfilter.density import DEFAULT_TOLERANCES
+from qfilter.kraus import raw_jump_probabilities, weighted_image
+from qfilter.simulate import _update_filters
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.stability import (
     random_density_operator,
+    random_error_model,
     random_measurement_step,
 )
+
+
+def random_factored_family(rng, d, j, k):
+    """M_(j*K + k) = B_k diag(a_j), sum_j |a_j|^2 = 1 and sum_k B_k^dag B_k = I."""
+    a = rng.standard_normal((j, d)) + 1j * rng.standard_normal((j, d))
+    a /= np.sqrt((np.abs(a) ** 2).sum(axis=0))
+    g = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
+    b, _ = np.linalg.qr(g)
+    return KrausFamily._factored(a, b.reshape(k, d, d), 1e-12)
+
+
+def dense_update(family, eta_row, rho):
+    """sum_q eta[p, q] M_q rho M_q^dag / tr(...) over the dense stack."""
+    num = sum(w * m @ rho @ m.conj().T for w, m in zip(eta_row, family.operators))
+    return num / np.trace(num).real
+
+
+def block_update(step, states, p):
+    """Filter updates of a stack (N, d, d) by readings p through the block engine."""
+    out = np.empty((1,) + states.shape, dtype=complex)
+    regularized = _update_filters(step, states[None], p, DEFAULT_TOLERANCES, out)
+    return out[0], regularized
 
 
 class TestCoarseKraus:
@@ -199,3 +226,109 @@ class TestRunFilter:
     def test_length_mismatch(self, two_level_step, mixed_qubit):
         with pytest.raises(DimensionMismatchError):
             run_filter(mixed_qubit, [two_level_step], [])
+
+
+class TestFactoredFamily:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(2, 5),
+        j=st.integers(2, 4),
+        k=st.integers(1, 3),
+    )
+    def test_truth_runs_on_the_factors(self, seed, d, j, k):
+        rng = np.random.default_rng(seed)
+        family = random_factored_family(rng, d, j, k)
+        ops = family.operators
+        assert ops.shape == (j * k, d, d)
+        for jj in range(j):
+            for kk in range(k):
+                outer = family._flat.reshape(k, d, d)[kk]
+                expected = outer @ np.diag(family._inner[jj])
+                assert np.abs(ops[jj * k + kk] - expected).max() <= 1e-15
+        rho = random_density_operator(rng, d)
+        effects = ops.conj().transpose(0, 2, 1) @ ops
+        traces = np.trace(effects @ rho.matrix, axis1=1, axis2=2).real
+        assert np.abs(raw_jump_probabilities(family, rho) - traces).max() <= 1e-15
+        q = int(rng.integers(j * k))
+        image = ops[q] @ rho.matrix @ ops[q].conj().T
+        jumped = apply_jump(family, q, rho).matrix
+        assert np.abs(jumped - image / np.trace(image).real).max() <= 1e-14
+
+    def test_stores_factors_not_the_dense_stack(self):
+        family = composite_kraus(PhotonBoxParams(), 0.3)
+        assert family._inner.shape == (7, 11)
+        assert family._flat.shape == family._adjoints_flat.shape == (33, 11)
+        assert family.operators is not family.operators
+
+
+class TestFactoredUpdate:
+    # A factored family's update runs on the outer stack; it must agree with
+    # the dense sum_q eta[p, q] M_q rho M_q^dag both when eta depends only on
+    # the inner jump and when it does not (the trivial factorization).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(2, 5),
+        j=st.integers(2, 4),
+        k=st.integers(2, 3),
+        separable=st.booleans(),
+    )
+    def test_matches_dense(self, seed, d, j, k, separable):
+        rng = np.random.default_rng(seed)
+        family = random_factored_family(rng, d, j, k)
+        errors = random_error_model(rng, 3, j, strictly_positive=True)
+        eta = np.repeat(errors.eta, k, axis=1)
+        if not separable:
+            eta = random_error_model(rng, 3, j * k, strictly_positive=True).eta
+        step = MeasurementStep(family, ErrorModel(eta))
+        assert (step._factors[0] is family) == separable
+        assert len(step._factors[0]._flat) == (k if separable else j * k) * d
+        states = np.stack([random_density_operator(rng, d).matrix for _ in range(5)])
+        p = rng.integers(3, size=5)
+        updated, regularized = block_update(step, states, p)
+        assert regularized == []
+        for i in range(5):
+            expected = dense_update(family, eta[p[i]], states[i])
+            serial = filter_update(
+                FilterState(estimate=DensityOperator(states[i])), step, int(p[i])
+            )
+            assert np.abs(updated[i] - expected).max() <= 1e-14
+            assert np.abs(serial.estimate.matrix - expected).max() <= 1e-14
+
+    def test_regularized_row_inside_a_factored_block(self, rng):
+        # Inner jump 1 never fires from |0>, and the detector reads the inner
+        # jump perfectly: a filter sure of |0> cannot explain p = 1.
+        s = np.sqrt(0.5)
+        inner = np.array([[1.0, 0.0, s], [0.0, 1.0, s]])
+        g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        b, _ = np.linalg.qr(g)
+        family = KrausFamily._factored(inner, b.reshape(2, 3, 3), 1e-12)
+        step = MeasurementStep(family, ErrorModel(np.repeat(np.eye(2), 2, axis=1)))
+        assert step._factors[0] is family
+        sure = DensityOperator.basis_state(3, 0)
+        mixed = random_density_operator(rng, 3)
+        states = np.stack([mixed.matrix, sure.matrix, mixed.matrix])
+        p = np.array([0, 1, 1])
+        updated, regularized = block_update(step, states, p)
+        assert regularized == [(0, 1)]
+        expected = filter_update(FilterState(estimate=sure), step, 1)
+        assert expected.regularized
+        assert np.abs(updated[1] - expected.estimate.matrix).max() <= 1e-15
+        for i in (0, 2):
+            dense = dense_update(family, step.errors.eta[p[i]], states[i])
+            assert np.abs(updated[i] - dense).max() <= 1e-14
+
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_all_zero_eta_row_raises(self, rng, separable):
+        family = random_factored_family(rng, 3, 2, 2)
+        eta = np.repeat(np.array([[0.7, 0.2], [0.3, 0.8], [0.0, 0.0]]), 2, axis=1)
+        if not separable:
+            eta[:2] = [[0.7, 0.1, 0.4, 0.5], [0.3, 0.9, 0.6, 0.5]]
+        step = MeasurementStep(family, ErrorModel(eta))
+        assert (step._factors[0] is family) == separable
+        rho = random_density_operator(rng, 3)
+        with pytest.raises(ZeroEvidenceError):
+            filter_update(FilterState(estimate=rho), step, 2)
+        with pytest.raises(ZeroEvidenceError):
+            block_update(step, np.stack([rho.matrix] * 2), np.array([0, 2]))

@@ -14,6 +14,9 @@ from qfilter import (
     run_filter,
     sequence_posterior,
 )
+from qfilter import oracle
+from qfilter.kraus import raw_jump_probabilities
+from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.errors import (
     CombinatorialExplosionError,
     IndexOutOfRangeError,
@@ -139,3 +142,46 @@ class TestMarginalEvidence:
         evidence = marginal_evidence(rho, steps, outcomes)
         assert abs(evidence - product) <= 1e-10
         assert 0.0 < evidence <= 1.0
+
+
+# Photon-box records at d = 11 (21 jumps per step), one displacement per step.
+PHOTONBOX_RECORDS = [
+    ((0.0, 0.3, -0.2 + 0.1j), (1, 0, 4)),
+    ((0.4 - 0.3j, 0.0, 0.2), (2, 3, 0)),
+    ((0.0, 0.0, 0.0), (5, 1, 2)),
+]
+
+
+def _photonbox_filter(alphas, outcomes):
+    """Initial state, steps, final estimate and evidence prod_k tr(numerator_k)."""
+    params = PhotonBoxParams()
+    errors = detection_error_model(params)
+    steps = [MeasurementStep(composite_kraus(params, a), errors) for a in alphas]
+    initial = random_density_operator(np.random.default_rng(3), params.dim)
+    states = run_filter(initial, steps, list(outcomes))
+    evidence = 1.0
+    for state, step, p in zip(states[:-1], steps, outcomes):
+        raw = step.errors.eta @ raw_jump_probabilities(step.family, state.estimate)
+        evidence *= float(raw[p])
+    return initial, steps, states[-1].estimate, evidence
+
+
+@pytest.mark.parametrize("alphas, outcomes", PHOTONBOX_RECORDS)
+def test_photonbox_records_match_the_oracle(alphas, outcomes):
+    initial, steps, final, evidence = _photonbox_filter(alphas, outcomes)
+    exact = direct_estimate(initial, steps, list(outcomes))
+    assert np.abs(exact.matrix - final.matrix).max() <= 1e-9
+    assert abs(marginal_evidence(initial, steps, list(outcomes)) - evidence) <= 1e-10
+
+
+def test_photonbox_four_step_record_matches_the_oracle():
+    # 21^4 = 194,481 sequences; one enumeration gives the weighted sum and
+    # the evidence that direct_estimate and marginal_evidence each compute.
+    outcomes = [0, 1, 3, 2]
+    alphas = (0.1, -0.1, 0.3j, 0.0)
+    initial, steps, final, evidence = _photonbox_filter(alphas, outcomes)
+    weighted_sum, exact_evidence, _ = oracle._enumerate(
+        initial, steps, outcomes, collect_terms=False
+    )
+    assert np.abs(weighted_sum / exact_evidence - final.matrix).max() <= 1e-9
+    assert abs(exact_evidence - evidence) <= 1e-10

@@ -341,9 +341,9 @@ class TestBlockEngine:
 
 
 # tracemalloc peak of a photon-box run_ensemble, 100 trajectories x 50 steps:
-# 1.10-1.15 MB measured with blocks of 6 (0.49 MB of it the preallocated
-# Kraus-image workspace), 0.44-0.47 MB for the earlier one-at-a-time runner.
-# The budget leaves about 30% margin; blocks of 12 peak at 1.69-1.71 MB.
+# 1.05-1.07 MB with factored updates in blocks of 22 (K = 3 outer operators);
+# 1.10-1.15 MB with dense updates (m = 21) in blocks of 6, 0.44-0.47 MB for
+# the earlier one-at-a-time runner. Dense blocks of 12 peaked at 1.69-1.71 MB.
 ENSEMBLE_PEAK_BUDGET = 1_500_000
 
 
@@ -357,3 +357,43 @@ def test_ensemble_memory_peak_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= ENSEMBLE_PEAK_BUDGET
+
+
+
+# tracemalloc peak of a 300-step photon-box feedback run that stores its
+# states and steps: 7.78-7.81 MB measured with families that keep their
+# factors (300 distinct families), 27.3 MB when each family also kept its 21
+# dense operators and their adjoints. Stored dense stacks would add ~12 MB.
+FEEDBACK_PEAK_BUDGET = 9_000_000
+
+
+def test_feedback_memory_peak_within_budget():
+    params = PhotonBoxParams()
+    errors = detection_error_model(params)
+    n_diag = np.arange(params.dim)
+
+    def controller(k, estimate):
+        n_mean = float(n_diag @ np.diagonal(estimate.matrix).real)
+        alpha = min(max(0.1 * (3.0 - n_mean), -1.0), 1.0)
+        return MeasurementStep(composite_kraus(params, alpha), errors)
+
+    config = dataclasses.replace(
+        _photonbox_config(300, store_states=True), steps=controller
+    )
+    run_trajectory(dataclasses.replace(config, horizon=2))  # one-off allocations
+    composite_kraus.cache_clear()
+    tracemalloc.start()
+    try:
+        record = run_trajectory(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len({id(step.family) for step in record.steps}) > 250
+    assert peak <= FEEDBACK_PEAK_BUDGET
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(ValidationError, match="non-negative"):
+        _photonbox_config(3, seed=seed)
+    with pytest.raises(ValidationError, match="non-negative"):
+        run_ensemble(_photonbox_config(3), 2, base_seed=seed)
