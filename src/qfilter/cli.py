@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -59,7 +60,14 @@ EXIT_CHECK_FAILURE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, reading "-1e-3" and
+    "-inf" as negative numbers (argparse alone takes them for options)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.I
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -80,10 +80,13 @@ class DensityOperator:
                 f"density operator must be square, got shape {m.shape}"
             )
         object.__setattr__(self, "matrix", _validated(m, tolerances))
+        self.matrix.flags.writeable = False
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
-        """Wrap a read-only matrix that ``_validated`` returned, unchecked."""
+        """Wrap a matrix that ``_validated`` wrote, unchecked, and make it
+        read-only; the engine passes copies of its buffers, never views."""
+        matrix.flags.writeable = False
         self = object.__new__(cls)
         object.__setattr__(self, "matrix", matrix)
         return self
@@ -126,22 +129,35 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _validated(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _real_divide(x: np.ndarray, t, out=None) -> np.ndarray:
+    """x / t for complex x and real t > 0 (a scalar, or one per matrix of x).
+
+    Multiplying by 1/t - 0j rounds, and signs zeros, as numpy's complex
+    division by t + 0j does, at a third of the cost (bar underflow to zero).
+    """
+    if np.ndim(t):
+        return np.multiply(x, np.reciprocal(t + 0j)[..., None, None], out=out)
+    return np.multiply(x, complex(1.0 / t, -0.0), out=out)
+
+
+def _validated(m: np.ndarray, tol: Tolerances, out=None, scratch=None) -> np.ndarray:
     """Check a matrix or a stack (..., d, d) of them as density operators.
 
-    Finite entries, Hermiticity, unit trace and PSD (one stacked eigvalsh)
-    within ``tol``; the first failing matrix in C order raises. Returns the
-    re-symmetrized, trace-renormalized stack, read-only.
+    Finite entries (checked first), Hermiticity, unit trace and PSD (one
+    stacked eigvalsh) within ``tol``; the first failing matrix in C order
+    raises. Returns the symmetrized (m + m^dag)/2, trace-renormalized stack,
+    in ``out`` (must not overlap m) with m^dag in ``scratch``, or new arrays.
     """
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix contains NaN or Inf entries")
-    mt = m.swapaxes(-1, -2).conj()
-    work = m - mt
-    if m.size and np.abs(work).max() > tol.herm:
+    mt = np.conjugate(m.swapaxes(-1, -2), out=scratch)
+    with np.errstate(invalid="ignore"):
+        work = np.subtract(m, mt, out=out)
+    # NaN-aware: a NaN or Inf entry makes its entry of m - m^dag non-finite.
+    if m.size and not np.abs(work).max() <= tol.herm:
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix contains NaN or Inf entries")
         dev_h = np.abs(work).max(axis=(-2, -1))
         raise NonHermitianError(dev_h[dev_h > tol.herm].flat[0], tol.herm)
-    clean = np.add(m, mt, out=work)
-    clean /= 2.0
+    clean = _real_divide(np.add(m, mt, out=work), 2.0, out=work)
     # clean has m's real diagonal, so this is also clean's trace
     tr = m.trace(axis1=-2, axis2=-1)
     dev = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag))
@@ -150,29 +166,35 @@ def _validated(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     lam_min = np.linalg.eigvalsh(clean)[..., 0]
     if lam_min.min() < -tol.psd:
         raise NegativeEigenvalueError(lam_min[lam_min < -tol.psd].flat[0], tol.psd)
-    clean /= tr.real[..., None, None]
-    clean.flags.writeable = False
-    return clean
+    return _real_divide(clean, tr.real, out=clean)
 
 
-def _sqrt_psd(hermitian: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _sqrt_psd(hermitian: np.ndarray, work=(None, None)) -> Tuple[np.ndarray, np.ndarray]:
     """Square root of an already-validated Hermitian PSD matrix (or stack).
 
     Eigenvalues at or below d * eps * lambda_max are eigensolver noise on an
-    exact zero and are dropped. Returns the root and lambda_max.
+    exact zero and are dropped. Returns the root (in work[0], with work[1]
+    as scratch, when given) and lambda_max.
     """
+    root_out, vh = work
     w, v = np.linalg.eigh(hermitian)
     lam_max = w[..., -1]
     cut = w.shape[-1] * _EPS * lam_max
     root = np.sqrt(np.where(w > cut[..., None], w, 0.0))
-    return (v * root[..., None, :]) @ v.swapaxes(-1, -2).conj(), lam_max
+    # v^dag keeps the memory layout of v.swapaxes(-1, -2).conj()
+    vh = np.conjugate(v, out=vh).swapaxes(-1, -2)
+    root_v = np.multiply(v, root[..., None, :], out=v)
+    return np.matmul(root_v, vh, out=root_out), lam_max
 
 
-def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``fidelity`` of each pair of matching matrices in two stacks (..., d, d)."""
-    s, lam_max = _sqrt_psd(rho)
-    inner = s @ sigma @ s
-    w = np.linalg.eigvalsh((inner + inner.swapaxes(-1, -2).conj()) / 2.0)
+def _fidelities(rho: np.ndarray, sigma: np.ndarray, work=(None, None)) -> np.ndarray:
+    """``fidelity`` of each pair of matching matrices in two stacks (..., d, d).
+
+    work: two scratch stacks like rho (default: new arrays)."""
+    s, lam_max = _sqrt_psd(rho, work)
+    inner = np.matmul(np.matmul(s, sigma, out=work[1]), s)
+    sym = np.add(inner, np.conjugate(inner.swapaxes(-1, -2), out=work[1]), out=work[1])
+    w = np.linalg.eigvalsh(_real_divide(sym, 2.0, out=sym))
     cut = w.shape[-1] * _EPS * lam_max * np.abs(sigma).sum(axis=-1).max(axis=-1)
     root_sum = np.sqrt(np.where(w > cut[..., None], w, 0.0)).sum(axis=-1)
     return np.minimum(root_sum * root_sum, 1.0)

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances
+from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances, _real_divide
 from .errormodel import ErrorModel
 from .errors import (
     DimensionMismatchError,
@@ -149,9 +149,10 @@ def filter_update(
 ) -> FilterState:
     """Advance the estimate by one detector outcome p.
 
-    The numerator sum_q eta[p, q] M_q rho M_q^dag is re-symmetrized after
-    assembly to bound Hermiticity drift over long runs. When the denominator
-    falls at or below the probability floor (possible only if the current
+    The normalized numerator sum_q eta[p, q] M_q rho M_q^dag is
+    re-symmetrized as the new estimate is built (``DensityOperator``), which
+    bounds Hermiticity drift over long runs. When the denominator falls at
+    or below the probability floor (possible only if the current
     estimate is rank-deficient), the update is evaluated at positive
     definite regularizations (rho + eps I)/tr and the stabilized limit is
     taken; the returned state is flagged ``regularized``.
@@ -175,7 +176,7 @@ def filter_update(
     denominator = float(numerator.trace().real)
     regularized = False
     if denominator > PROB_FLOOR:
-        new_matrix = numerator / denominator
+        new_matrix = _real_divide(numerator, denominator)
     else:
         # Structurally impossible outcome: every coarse operator is zero.
         strength = float(
@@ -191,7 +192,6 @@ def filter_update(
         )
         regularized = True
 
-    new_matrix = (new_matrix + new_matrix.conj().T) / 2.0
     return FilterState(
         estimate=DensityOperator(new_matrix, tolerances),
         regularized=regularized,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances
+from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances, _real_divide
 from .errors import (
     CompletenessViolationError,
     DimensionMismatchError,
@@ -150,21 +150,32 @@ def _check_dim(family: KrausFamily, rho: DensityOperator) -> None:
         )
 
 
-def _weighted_images(
-    family: KrausFamily, weights: np.ndarray, stack: np.ndarray
-) -> np.ndarray:
-    """sum_k weights[n, k] B_k x_n B_k^dag over the outer stack, for x (N, d, d).
+def _workspace(family: KrausFamily, n: int, work=None) -> np.ndarray:
+    """``work`` if it holds the (2K + 1) N d^2 entries of ``_weighted_images``
+    of n states (W o x, the images and their rearrangement), else a new buffer."""
+    size = (2 * len(family._flat) + family.dim) * n * family.dim
+    return work if work is not None and work.size >= size else np.empty(size, complex)
 
-    Returns (N*d, d), from two gemms: the images B_k x_n of the states side
-    by side, (K*d, d) @ (d, N*d), then their weighted rearrangement
-    (N*d, K*d) @ (K*d, d). For an unfactored family B = M.
-    """
+
+def _weighted_images(
+    family: KrausFamily, weights, hadamard, stack, out, work
+) -> np.ndarray:
+    """out[n] = sum_k weights[n, k] B_k (W_n o x_n) B_k^dag, for x and W (N, d, d).
+
+    Two gemms in ``work`` (``_workspace``): the images B_k x'_n of x'_n = W_n o x_n
+    side by side, (K*d, d) @ (d, N*d), then their weighted rearrangement
+    (N*d, K*d) @ (K*d, d). For an unfactored family B = M."""
     n, d = stack.shape[:2]
     k = len(family._flat) // d
-    images = family._flat @ stack.transpose(1, 0, 2).reshape(d, n * d)
+    size = n * d * d
+    x, images = work[:size], work[size : (k + 1) * size]
+    weighted = work[(k + 1) * size : (2 * k + 1) * size]
+    np.multiply(hadamard, stack, out=x.reshape(d, n, d).transpose(1, 0, 2))
+    np.matmul(family._flat, x.reshape(d, n * d), out=images.reshape(k * d, n * d))
     per_state = images.reshape(k, d, n, d).transpose(2, 1, 0, 3)  # (N, d, K, d)
-    weighted = per_state * weights[:, None, :, None]
-    return weighted.reshape(n * d, k * d) @ family._adjoints_flat
+    np.multiply(per_state, weights[:, None, :, None], out=weighted.reshape(n, d, k, d))
+    flat_out = out.reshape(n * d, d)  # a view: out is contiguous
+    return np.matmul(weighted.reshape(n * d, k * d), family._adjoints_flat, out=flat_out)
 
 
 def _factor_rows(
@@ -195,7 +206,8 @@ def weighted_image(
 ) -> np.ndarray:
     """sum_q weights[q] M_q rho M_q^dag as two gemms over the outer stack."""
     outer, hadamard, v = _factor_rows(family, np.reshape(weights, (1, -1)))
-    return _weighted_images(outer, v, hadamard * rho_matrix)
+    out, work = np.empty_like(rho_matrix, dtype=complex), _workspace(outer, 1)
+    return _weighted_images(outer, v, hadamard, rho_matrix[None], out[None], work)
 
 
 def _effects(family: KrausFamily) -> np.ndarray:
@@ -235,24 +247,20 @@ def _clamp_and_renormalize(
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _jumps(
-    family: KrausFamily,
-    q: np.ndarray,
-    stack: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _jumps(family: KrausFamily, q, stack, out, scratch) -> np.ndarray:
     """M_q[n] rho_n M_q[n]^dag / tr(...) for a stack (N, d, d) and jumps q (N,).
 
     With q = j*K + k, the image is B_k ((a_j a_j^dag) o rho_n) B_k^dag.
     Raises ZeroProbabilityJumpError for the first jump whose trace is at or
-    below PROB_FLOOR. Writes to ``out`` when given.
+    below PROB_FLOOR. Writes to ``out``, with ``scratch`` (N, d, d) for B_k x.
     """
     d = family.dim
     j, k = np.divmod(q, family._flat.shape[0] // d)
     a = family._inner[j]
-    x = stack * (a[:, :, None] * a.conj()[:, None, :])
-    outer = family._flat.reshape(-1, d, d)
-    jumped = outer[k] @ x @ family._adjoints_flat.reshape(-1, d, d)[k]
+    np.multiply(a[:, :, None], a.conj()[:, None, :], out=out)
+    x = np.multiply(stack, out, out=out)
+    np.matmul(family._flat.reshape(-1, d, d)[k], x, out=scratch)
+    jumped = np.matmul(scratch, family._adjoints_flat.reshape(-1, d, d)[k], out=out)
     prob = jumped.trace(axis1=1, axis2=2).real
     low = prob <= PROB_FLOOR
     if low.any():
@@ -260,7 +268,7 @@ def _jumps(
         raise ZeroProbabilityJumpError(
             f"jump {q[i]} has probability {prob[i]:.3e} <= {PROB_FLOOR:.0e}"
         )
-    return np.divide(jumped, prob[:, None, None], out=out)
+    return _real_divide(jumped, prob, out=out)
 
 
 def apply_jump(
@@ -275,5 +283,6 @@ def apply_jump(
         raise IndexOutOfRangeError(
             f"jump index {q} out of range for {family.count} operators"
         )
-    jumped = _jumps(family, np.array([q]), rho.matrix[None])
+    work = np.empty((2, 1, family.dim, family.dim), dtype=np.complex128)
+    jumped = _jumps(family, np.array([q]), rho.matrix[None], work[0], work[1])
     return DensityOperator(jumped[0], tolerances)

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .filtering import MeasurementStep
-from .kraus import PROB_FLOOR, KrausFamily, raw_jump_probabilities
+from .kraus import PROB_FLOOR, KrausFamily, _workspace, raw_jump_probabilities
 from .simulate import TrajectoryRecord, _update_filters
 
 __all__ = [
@@ -155,8 +155,8 @@ def _one_step(
     if not n:
         return 0.0, weights, ()
     stack = np.repeat(np.stack([rho.matrix, sigma.matrix])[:, None], n, axis=1)
-    out = np.empty_like(stack)
-    regularized = _update_filters(step, stack, kept, DEFAULT_TOLERANCES, out)
+    out, work = np.empty_like(stack), _workspace(step._factors[0], n)
+    regularized = _update_filters(step, stack, kept, DEFAULT_TOLERANCES, out, work)
     states = _validated(out, DEFAULT_TOLERANCES)
     rhs = float(weights[kept] @ _fidelities(states[0], states[1]))
     return rhs, weights, tuple(int(kept[i]) for f, i in regularized if f == 1)

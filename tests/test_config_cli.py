@@ -365,6 +365,22 @@ class TestCli:
         assert "--alpha" in caplog.text
         assert not (tmp_path / "operators.json").exists()
 
+    @pytest.mark.parametrize("alpha", [["-1e-3", "0"], ["0", "-2.5e-1"], ["-1E+0", "-.5"]])
+    def test_negative_alpha_in_any_float_spelling_exports(self, tmp_path, alpha):
+        code = main(["photonbox-export", "--out", str(tmp_path), "--alpha", *alpha])
+        assert code == 0
+        payload = json.loads((tmp_path / "operators.json").read_text())
+        assert payload["alpha"] == [float(alpha[0]), float(alpha[1])]
+
+    @pytest.mark.parametrize("alpha", [["-inf", "0"], ["0", "-Infinity"], ["-nan", "0"]])
+    def test_negative_non_finite_alpha_reaches_the_finite_check(
+        self, tmp_path, alpha, caplog
+    ):
+        code = main(["photonbox-export", "--out", str(tmp_path), "--alpha", *alpha])
+        assert code == 1
+        assert "--alpha must be finite" in caplog.text
+        assert not (tmp_path / "operators.json").exists()
+
     def test_photonbox_export(self, tmp_path):
         code = main(
             ["photonbox-export", "--out", str(tmp_path), "--alpha", "0.3", "0.0"]

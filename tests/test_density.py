@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfilter import DensityOperator, Tolerances, fidelity
-from qfilter.density import _sqrt_psd
+from qfilter.density import _real_divide, _sqrt_psd, _validated
 from qfilter.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
@@ -12,6 +12,7 @@ from qfilter.errors import (
     TraceDeviationError,
     ValidationError,
 )
+from qfilter.kraus import PROB_FLOOR
 from qfilter.stability import random_density_operator
 
 
@@ -71,6 +72,23 @@ class TestValidateDensity:
         with pytest.raises(ValidationError):
             DensityOperator([[np.nan, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("where", [(0, 0), (2, 2), (0, 1), (2, 0)])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(0.2, np.nan), complex(0.0, -np.inf)]
+    )
+    def test_non_finite_entry_is_a_validation_error(self, where, value):
+        # Not NonHermitianError, although the entry breaks m = m^dag too.
+        m = np.tile(np.eye(3, dtype=complex) / 3, (2, 1, 1))
+        m[1][where] = value
+        for call in (
+            lambda: DensityOperator(m[1]),
+            lambda: _validated(m, Tolerances()),
+            lambda: _validated(m, Tolerances(), np.empty_like(m), np.empty_like(m)),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert type(err.value) is ValidationError
+
     def test_construction_cleans_drift(self, rng):
         rho = random_density_operator(rng, 3)
         dirty = rho.matrix + 1e-11 * (rng.standard_normal((3, 3)) * 1j)
@@ -92,6 +110,52 @@ class TestValidateDensity:
     def test_matrix_is_readonly(self, mixed_qubit):
         with pytest.raises(ValueError):
             mixed_qubit.matrix[0, 0] = 0.7
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestInPlaceKernels:
+    """The engine's in-place kernels against the allocating numpy forms, bit for bit."""
+
+    def test_real_divide_matches_complex_division(self, rng):
+        x = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        x[0] = [[complex(a, b) for b in (0.0, -0.0, 1.5, -2.5)] for a in (0.0, -0.0, 3.0, -0.5)]
+        x[1] = x[0].T
+        x[2] *= 1e300
+        x[3] *= 1e-300
+        floor = np.nextafter(PROB_FLOOR, 1.0)
+        # A quotient that underflows to zero may carry the other sign; no
+        # pair below underflows (1e-300 / 1e300 would).
+        cases = [
+            (x, rng.uniform(0.5, 2.0, 6)),
+            (x, np.array([floor, PROB_FLOOR * (1 + 1e-9), 1e300, 1e-300, 1.0, 3.0])),
+            (x, np.full(6, 1e-300)),
+            (x[[0, 1, 2, 4, 5]], np.full(5, 1e300)),
+        ]
+        with np.errstate(over="ignore"):
+            for num, t in cases:
+                expected = np.divide(num, t[:, None, None])
+                assert np.array_equal(bits(_real_divide(num, t)), bits(expected))
+                inplace = num.copy()
+                _real_divide(inplace, t, out=inplace)
+                assert np.array_equal(bits(inplace), bits(expected))
+            for t in (2.0, 3.0, floor, 1e-300):
+                assert np.array_equal(bits(_real_divide(x, t)), bits(x / t))
+
+    def test_validated_into_buffers_matches_allocating_call(self, rng):
+        stack = np.stack([random_density_operator(rng, 5).matrix for _ in range(8)])
+        noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+        dirty = (stack + 1e-11 * noise).reshape(2, 4, 5, 5)
+        out, scratch = np.empty_like(dirty), np.full_like(dirty, np.nan)
+        expected = _validated(dirty, Tolerances())
+        got = _validated(dirty, Tolerances(), out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(bits(got), bits(expected))
+        # The single-matrix path of the constructor gives the same bits.
+        rho = DensityOperator(dirty[1, 2])
+        assert np.array_equal(bits(rho.matrix), bits(expected[1, 2]))
 
 
 class TestFidelity:

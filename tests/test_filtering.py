@@ -23,7 +23,7 @@ from qfilter.errors import (
     ZeroEvidenceError,
 )
 from qfilter.density import DEFAULT_TOLERANCES
-from qfilter.kraus import raw_jump_probabilities, weighted_image
+from qfilter.kraus import _workspace, raw_jump_probabilities, weighted_image
 from qfilter.simulate import _update_filters
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.stability import (
@@ -51,7 +51,8 @@ def dense_update(family, eta_row, rho):
 def block_update(step, states, p):
     """Filter updates of a stack (N, d, d) by readings p through the block engine."""
     out = np.empty((1,) + states.shape, dtype=complex)
-    regularized = _update_filters(step, states[None], p, DEFAULT_TOLERANCES, out)
+    work = _workspace(step._factors[0], len(states))
+    regularized = _update_filters(step, states[None], p, DEFAULT_TOLERANCES, out, work)
     return out[0], regularized
 
 

@@ -14,6 +14,7 @@ from qfilter import (
     filter_update,
     outcome_probabilities,
     run_ensemble,
+    run_filter,
     run_trajectory,
     simulate,
     step_truth,
@@ -338,6 +339,63 @@ class TestBlockEngine:
             if i != flagged[0]:
                 assert np.array_equal(r.real_outcomes, np.zeros(3, dtype=np.int64))
                 assert np.abs(r.filter_states["sure"][-1].matrix - sure.matrix).max() == 0
+
+
+class TestBufferCopies:
+    """Nothing a run hands out is a view of the engine's per-block buffers."""
+
+    def test_feedback_estimates_are_the_stored_states_one_step_back(self):
+        params = PhotonBoxParams()
+        step = MeasurementStep(composite_kraus(params, 0.3), detection_error_model(params))
+        seen = []
+
+        def provider(k, estimate):
+            seen.append(estimate)
+            return step
+
+        config = _photonbox_config(12, store_states=True)
+        record = run_trajectory(dataclasses.replace(config, steps=provider))
+        first = record.filter_names[0]
+        stored = record.filter_states[first]
+        expected = [config.filter_initials[first]] + list(stored[:-1])
+        assert len(seen) == len(expected) == 12
+        assert len({e.matrix.tobytes() for e in expected}) == 12  # the filter moves
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got.matrix, want.matrix)
+            assert not got.matrix.flags.writeable
+            assert not any(np.shares_memory(got.matrix, s.matrix) for s in stored)
+
+    def test_workspace_grows_and_shrinks_with_the_family(self):
+        # Feedback alternates the factored photon box (K = 3 outer operators)
+        # and its dense twin (K = 21): the block's workspace grows once, and
+        # every update still matches the serial recursion.
+        params = PhotonBoxParams()
+        errors = detection_error_model(params)
+        factored = composite_kraus(params, 0.3)
+        tol = factored.completeness_tolerance
+        dense = KrausFamily(factored.operators, completeness_tolerance=tol)
+        steps = [MeasurementStep(f, errors) for f in (dense, factored)]  # k = 1: K = 3
+        config = _photonbox_config(6, store_states=True)
+        record = run_trajectory(
+            dataclasses.replace(config, steps=lambda k, estimate: steps[k % 2])
+        )
+        for name, initial in config.filter_initials.items():
+            serial = run_filter(initial, record.steps, record.real_outcomes)
+            for got, want in zip(record.filter_states[name], serial[1:], strict=True):
+                assert np.abs(got.matrix - want.estimate.matrix).max() <= 1e-13
+
+    def test_stored_states_share_no_memory(self):
+        params = PhotonBoxParams()
+        step = MeasurementStep(composite_kraus(params, 0.3), detection_error_model(params))
+        config = dataclasses.replace(_photonbox_config(5, store_states=True), steps=step)
+        records = run_ensemble(config, 3, base_seed=4)
+        matrices = [s.matrix for r in records for s in r.true_states]
+        for r in records:
+            matrices += [s.matrix for states in r.filter_states.values() for s in states]
+        assert len(matrices) == 3 * 3 * 5
+        for i, a in enumerate(matrices):
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in matrices[i + 1 :])
 
 
 # tracemalloc peak of a photon-box run_ensemble, 100 trajectories x 50 steps:
