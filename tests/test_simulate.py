@@ -399,6 +399,7 @@ class TestBufferCopies:
 
 
 # tracemalloc peak of a photon-box run_ensemble, 100 trajectories x 50 steps:
+# 1.24-1.25 MB with per-block buffers (about 0.68 MB of them) in blocks of 22;
 # 1.05-1.07 MB with factored updates in blocks of 22 (K = 3 outer operators);
 # 1.10-1.15 MB with dense updates (m = 21) in blocks of 6, 0.44-0.47 MB for
 # the earlier one-at-a-time runner. Dense blocks of 12 peaked at 1.69-1.71 MB.
