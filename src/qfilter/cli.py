@@ -353,6 +353,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_photonbox_export(args) -> int:
+    alpha = complex(args.alpha[0], args.alpha[1])
+    if not np.isfinite(alpha):
+        raise ConfigError(f"--alpha must be finite, got {alpha}")
     if args.config:
         config = _prepare(args)
         if config.model.get("type") != "photonbox":
@@ -363,9 +366,6 @@ def cmd_photonbox_export(args) -> int:
         params = PhotonBoxParams()
         out = Path(args.out or "out")
         out.mkdir(parents=True, exist_ok=True)
-    alpha = complex(args.alpha[0], args.alpha[1])
-    if not np.isfinite(alpha):
-        raise ConfigError(f"--alpha must be finite, got {alpha}")
 
     elementary = l_operators(params)
     family = composite_kraus(params, alpha)

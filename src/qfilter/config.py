@@ -407,7 +407,7 @@ def build_steps(model: Dict, horizon: int) -> List[MeasurementStep]:
                 )
         else:
             schedule = [complex(alpha[0], alpha[1])] * horizon
-        steps = {  # one step per distinct alpha: building a step factors eta
+        steps = {  # one step, so one set of effects per run, per distinct alpha
             a: MeasurementStep(
                 composite_kraus(params, a), errors, label=f"photonbox(alpha={a})"
             )

@@ -62,8 +62,11 @@ EPS_STABILIZATION_TOL = 1e-6
 class MeasurementStep:
     """One time step: a Kraus family paired with its detection-error matrix.
 
-    Building it factors eta against the family once for the block engine:
-    ``_factors`` = (outer, W, v) of ``kraus._factor_rows``.
+    ``_factors`` = (outer, W, v) of ``kraus._factor_rows``, for the block
+    engine. W and v depend only on the family's inner stack and eta, so they
+    are shared, read-only, by every step with that inner stack and eta (the
+    photon box at each drive amplitude): building a step looks them up and
+    factors nothing.
     """
 
     family: KrausFamily

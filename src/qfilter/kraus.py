@@ -11,6 +11,14 @@ elementwise product), the per-step algebra is a few batched numpy calls over
 the K outer operators. A factored family (the photon box) builds its dense
 stack ``operators`` only on request, for callers outside the step engine.
 
+What depends only on the inner stack (and a detection-error matrix eta) is
+computed once and shared: the inner products conj(a_j) a_j^T of ``_effects``
+and eta's factorization against the inner stack (``_factor_rows``) are
+cached on the bytes of their inputs, so every family with that inner stack
+(the photon box at each drive amplitude) holds the same read-only arrays.
+Only the outer stack, its Gram and its per-k products B_k^dag B_k are built
+per family.
+
 Approximately complete families (deficit up to a declared tolerance) are
 accepted; probability vectors are then renormalized. This accommodates
 physically truncated models whose completeness holds only to second order
@@ -19,6 +27,7 @@ in a small decoherence parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -45,12 +54,9 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 
-def _gram(inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """sum_q M_q^dag M_q = (sum_j conj(a_j) a_j^T) o (sum_k B_k^dag B_k).
-
-    ``flat`` is the outer stack as (K*d, d), so its Gram is one gemm.
-    """
-    return (inner.conj().T @ inner) * (flat.conj().T @ flat)
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 class KrausFamily:
@@ -89,8 +95,12 @@ class KrausFamily:
         self._set_factors(ones, ops, completeness_tolerance, labels)
 
     @classmethod
-    def _factored(cls, inner, outer, tolerance, labels=None) -> "KrausFamily":
-        """The family M_(j*K + k) = outer[k] @ diag(inner[j]), stored as its factors."""
+    def _factored(cls, inner, outer, tolerance=None, labels=None) -> "KrausFamily":
+        """The family M_(j*K + k) = outer[k] @ diag(inner[j]), stored as its factors.
+
+        With no ``tolerance``, the tolerance is the measured defect: the
+        spectral norm of sum_q M_q^dag M_q - I, times (1 + 1e-9), plus 1e-14.
+        """
         family = cls.__new__(cls)
         family._set_factors(inner, outer, tolerance, labels)
         return family
@@ -99,18 +109,22 @@ class KrausFamily:
         (j, d), k = inner.shape, len(outer)
         if labels is not None and len(labels) != j * k:
             raise ValidationError(f"{len(labels)} labels for {j * k} operators")
-        if not 0.0 <= tol < math.inf:
+        if tol is not None and not 0.0 <= tol < math.inf:
             raise ValidationError(
                 f"completeness_tolerance must be finite and >= 0, got {tol!r}"
             )
         # Read-only, contiguous (K*d, d) layouts so per-step algebra is two gemms.
         inner, outer = np.ascontiguousarray(inner), np.ascontiguousarray(outer)
         adjoints = outer.conj().transpose(0, 2, 1).reshape(k * d, d)
-        for array in (inner, outer, adjoints):
-            array.flags.writeable = False
+        _read_only(inner, outer, adjoints)
         self._inner, self._flat = inner, outer.reshape(k * d, d)
         self._adjoints_flat = adjoints
-        deviation = float(np.abs(_gram(inner, self._flat) - np.eye(d)).max())
+        # sum_q M_q^dag M_q = (sum_j conj(a_j) a_j^T) o (sum_k B_k^dag B_k): two gemms.
+        gram = (inner.conj().T @ inner) * (self._flat.conj().T @ self._flat)
+        defect = gram - np.eye(d)
+        if tol is None:
+            tol = float(np.abs(np.linalg.eigvalsh(defect)).max()) * (1.0 + 1e-9) + 1e-14
+        deviation = float(np.abs(defect).max())
         if deviation > tol:
             raise CompletenessViolationError(deviation, tol)
         self.labels = tuple(labels) if labels is not None else None
@@ -178,6 +192,44 @@ def _weighted_images(
     return np.matmul(weighted.reshape(n * d, k * d), family._adjoints_flat, out=flat_out)
 
 
+def _key(array: np.ndarray) -> Tuple[str, Tuple[int, ...], bytes]:
+    """A hashable key that determines the array: dtype, shape and bytes."""
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _from_key(key: Tuple[str, Tuple[int, ...], bytes]) -> np.ndarray:
+    """The read-only array a ``_key`` describes."""
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _inner_products(inner_key) -> np.ndarray:
+    """P_j = conj(a_j) a_j^T (J, d, d), shared by every family with inner a."""
+    a = _from_key(inner_key)
+    products = a.conj()[:, :, None] * a[:, None, :]
+    _read_only(products)
+    return products
+
+
+@functools.lru_cache(maxsize=32)
+def _row_factors(inner_key, eta_key) -> Tuple[bool, np.ndarray, np.ndarray]:
+    """(separable, W, v) of ``_factor_rows``, shared per (inner stack, eta)."""
+    a, eta = _from_key(inner_key), _from_key(eta_key)
+    (j, d), rows = a.shape, eta.reshape(len(eta), len(a), -1)
+    separable = j > 1 and bool((rows == rows[:, :, :1]).all())
+    if separable:
+        u, v = rows[:, :, 0], np.ones(rows.shape[::2])
+    else:
+        if j > 1:  # the unfactored family, whose one inner diagonal is 1
+            a = np.ones((1, d))
+        u, v = np.ones((len(eta), 1)), eta
+    hadamard = u @ (a[:, :, None] * a.conj()[:, None, :]).reshape(len(a), -1)
+    hadamard = hadamard.reshape(-1, d, d)
+    _read_only(hadamard, v)
+    return separable, hadamard, v
+
+
 def _factor_rows(
     family: KrausFamily, eta: np.ndarray
 ) -> Tuple[KrausFamily, np.ndarray, np.ndarray]:
@@ -186,19 +238,17 @@ def _factor_rows(
     Here x_p = W_p o x. If eta[p, j*K + k] does not depend on k (the detector
     sees only the inner jump), outer is the family, W_p = sum_j eta[p, j*K]
     a_j a_j^dag and v = 1; else outer is the unfactored family, W_p = 1, v = eta.
+
+    W, v and the separability test depend only on the inner stack and eta:
+    they are computed once per (inner stack, eta) and shared, read-only, by
+    every family with that inner stack. Only the dense fallback (a
+    non-separable eta on a factored family) is built per family.
     """
-    j = len(family._inner)
-    rows = eta.reshape(len(eta), j, -1)
-    if j > 1 and (rows == rows[:, :, :1]).all():
-        u, v = rows[:, :, 0], np.ones(rows.shape[::2])
-    else:
-        if j > 1:
-            tol = family.completeness_tolerance
-            family = KrausFamily(family.operators, completeness_tolerance=tol)
-        u, v = np.ones((len(eta), 1)), eta
-    a = family._inner
-    hadamard = u @ (a[:, :, None] * a.conj()[:, None, :]).reshape(len(a), -1)
-    return family, hadamard.reshape(-1, family.dim, family.dim), v
+    separable, hadamard, v = _row_factors(_key(family._inner), _key(eta))
+    if not separable and len(family._inner) > 1:
+        tol = family.completeness_tolerance
+        family = KrausFamily(family.operators, completeness_tolerance=tol)
+    return family, hadamard, v
 
 
 def weighted_image(
@@ -211,10 +261,15 @@ def weighted_image(
 
 
 def _effects(family: KrausFamily) -> np.ndarray:
-    """The effects E_(j,k) = conj(a_j) a_j^T o B_k^dag B_k, stacked (m, d, d)."""
-    d, a = family.dim, family._inner
+    """The effects E_(j,k) = P_j o B_k^dag B_k, stacked (m, d, d).
+
+    P_j = conj(a_j) a_j^T are the shared ``_inner_products``; only the K
+    Grams B_k^dag B_k (one batched product) are formed per family.
+    """
+    d = family.dim
     gram = family._adjoints_flat.reshape(-1, d, d) @ family._flat.reshape(-1, d, d)
-    return (a.conj()[:, None, :, None] * gram * a[:, None, None, :]).reshape(-1, d, d)
+    products = _inner_products(_key(family._inner))
+    return (products[:, None] * gram).reshape(-1, d, d)
 
 
 def _traces(effects: np.ndarray, stack: np.ndarray) -> np.ndarray:

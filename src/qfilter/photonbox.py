@@ -34,7 +34,7 @@ import numpy as np
 
 from .errormodel import ErrorModel
 from .errors import TruncationWarning, ValidationError
-from .kraus import KrausFamily, _gram
+from .kraus import KrausFamily
 
 __all__ = [
     "ATOM_JUMPS",
@@ -144,10 +144,11 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
 
     D(r e^(i theta)) = R D(r) R^dag with R = exp(i theta n) diagonal and
     D(r) = exp(-i r H), exponentiated on the spectrum of H = i(adag - a),
-    which is diagonalized once per ``n_max``: unitary to eigensolver
-    accuracy, and exactly I at alpha = 0. For |alpha|^2 approaching the cutoff
-    the operator no longer matches the infinite-dimensional displacement; a
-    warning is emitted when |alpha|^2 > n_max / 4.
+    which is diagonalized once per ``n_max``; R V and its adjoint are kept
+    per (n_max, theta). D is unitary to eigensolver accuracy, and exactly I
+    at alpha = 0. For |alpha|^2 approaching the cutoff the operator no longer
+    matches the infinite-dimensional displacement; a warning is emitted when
+    |alpha|^2 > n_max / 4.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -161,9 +162,22 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
         )
     if alpha == 0:
         return np.eye(n_max + 1, dtype=np.complex128)
-    w, v = _generator_eigh(n_max)
-    rotated = np.exp(1j * np.angle(alpha) * np.arange(n_max + 1))[:, None] * v
-    return (rotated * np.exp(-1j * abs(alpha) * w)) @ rotated.conj().T
+    w, _ = _generator_eigh(n_max)
+    rotated, adjoint = _rotated_eigenvectors(n_max, float(np.angle(alpha)))
+    return (rotated * np.exp(-1j * abs(alpha) * w)) @ adjoint
+
+
+@functools.lru_cache(maxsize=16)
+def _rotated_eigenvectors(n_max: int, theta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """R V and its adjoint, R = exp(i theta n), for the generator's eigenvectors V.
+
+    Shared by every amplitude of phase theta (0 or pi under a real drive).
+    """
+    _, v = _generator_eigh(n_max)
+    rotated = np.exp(1j * theta * np.arange(n_max + 1))[:, None] * v
+    adjoint = rotated.conj().T
+    rotated.flags.writeable = adjoint.flags.writeable = False
+    return rotated, adjoint
 
 
 def l_operators(params: PhotonBoxParams) -> Dict[str, np.ndarray]:
@@ -256,15 +270,18 @@ def composite_kraus(params: PhotonBoxParams, alpha: complex = 0.0) -> KrausFamil
     inner stack, L_cavity @ D_alpha its outer stack. Its completeness
     tolerance is the measured spectral-norm defect (dominated by the cavity
     sector's second-order deficit plus truncation leakage), so downstream
-    probability checks stay honest. Results are cached per (params, alpha),
-    the sectors per params.
+    probability checks stay honest; the family forms the completeness Gram
+    once, for both. Results are cached per (params, alpha), the sectors per
+    params.
+
+    Only the outer stack is built per alpha. Every alpha shares the atom
+    diagonals, and through them the read-only arrays that depend only on
+    the atom sector: the products of ``kraus._effects`` and, per error
+    matrix, the factorization of ``kraus._factor_rows``.
     """
     atoms, cavity = _sectors(params)
     outer = cavity @ displacement(alpha, params.n_max)
-    d = params.dim
-    defect = _gram(atoms, outer.reshape(-1, d)) - np.eye(d)
-    tolerance = float(np.abs(np.linalg.eigvalsh(defect)).max()) * (1.0 + 1e-9) + 1e-14
-    return KrausFamily._factored(atoms, outer, tolerance, _LABELS)
+    return KrausFamily._factored(atoms, outer, labels=_LABELS)
 
 
 def detection_error_model(params: PhotonBoxParams) -> ErrorModel:

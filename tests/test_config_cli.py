@@ -381,6 +381,26 @@ class TestCli:
         assert "--alpha must be finite" in caplog.text
         assert not (tmp_path / "operators.json").exists()
 
+    def test_non_finite_alpha_creates_no_out_directory(self, tmp_path, caplog):
+        out = tmp_path / "new"
+        code = main(["photonbox-export", "--out", str(out), "--alpha", "-inf", "0"])
+        assert code == 1
+        assert "--alpha must be finite" in caplog.text
+        assert not out.exists()
+
+    def test_non_finite_alpha_creates_no_config_output_directory(
+        self, tmp_path, caplog
+    ):
+        out = tmp_path / "new"
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["output"]["directory"] = str(out)
+        path = tmp_path / "photonbox.json"
+        path.write_text(json.dumps(raw))
+        code = main(["photonbox-export", "--config", str(path), "--alpha", "0", "nan"])
+        assert code == 1
+        assert "--alpha must be finite" in caplog.text
+        assert not out.exists()
+
     def test_photonbox_export(self, tmp_path):
         code = main(
             ["photonbox-export", "--out", str(tmp_path), "--alpha", "0.3", "0.0"]

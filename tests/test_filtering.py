@@ -23,6 +23,7 @@ from qfilter.errors import (
     ZeroEvidenceError,
 )
 from qfilter.density import DEFAULT_TOLERANCES
+from qfilter import kraus, photonbox
 from qfilter.kraus import _workspace, raw_jump_probabilities, weighted_image
 from qfilter.simulate import _update_filters
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
@@ -261,6 +262,66 @@ class TestFactoredFamily:
         assert family._inner.shape == (7, 11)
         assert family._flat.shape == family._adjoints_flat.shape == (33, 11)
         assert family.operators is not family.operators
+
+
+class TestSharedFactors:
+    # eta's factorization (W, v) and the inner products conj(a_j) a_j^T depend
+    # only on the inner stack and eta, so every photon-box step shares them.
+    def test_steps_share_read_only_factors_across_alpha(self):
+        params = PhotonBoxParams()
+        errors = detection_error_model(params)
+        families = [
+            composite_kraus(params, 0.3),
+            composite_kraus(params, -0.7),
+            composite_kraus.__wrapped__(params, 0.3),  # the same alpha, built again
+        ]
+        steps = [MeasurementStep(family, errors) for family in families]
+        products = [kraus._inner_products(kraus._key(f._inner)) for f in families]
+        for step, family, prods in zip(steps, families, products):
+            outer, hadamard, v = step._factors
+            assert outer is family
+            assert hadamard is steps[0]._factors[1] and v is steps[0]._factors[2]
+            assert prods is products[0]
+        for array in (steps[0]._factors[1], steps[0]._factors[2], products[0]):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        assert hadamard.shape == (6, 11, 11) and v.shape == (6, 3)
+
+    def test_other_eta_or_inner_stack_gets_its_own_factors(self):
+        params = PhotonBoxParams()
+        errors = detection_error_model(params)
+        family = composite_kraus(params, 0.3)
+        base = MeasurementStep(family, errors)._factors[1]
+        other_eta = detection_error_model(PhotonBoxParams(detection_efficiency=0.5))
+        other_inner = composite_kraus(PhotonBoxParams(phase_per_photon=0.5), 0.3)
+        for step in (
+            MeasurementStep(family, other_eta),
+            MeasurementStep(other_inner, errors),
+        ):
+            assert step._factors[1] is not base
+            assert np.abs(step._factors[1] - base).max() > 1e-3
+
+    def test_distinct_alphas_factor_eta_once(self):
+        params = PhotonBoxParams()
+        errors = detection_error_model(params)
+        kraus._row_factors.cache_clear()
+        kraus._inner_products.cache_clear()
+        for alpha in np.linspace(-1.0, 1.0, 200):
+            step = MeasurementStep(composite_kraus(params, alpha), errors)
+            kraus._effects(step.family)
+        assert kraus._row_factors.cache_info().misses == 1
+        assert kraus._inner_products.cache_info().misses == 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, -0.7, 0.4 - 0.3j])
+    def test_photonbox_tolerance_is_the_measured_spectral_defect(self, alpha):
+        params = PhotonBoxParams()
+        atoms, cavity = photonbox._sectors(params)
+        flat = (cavity @ photonbox.displacement(alpha, params.n_max)).reshape(-1, 11)
+        gram = (atoms.conj().T @ atoms) * (flat.conj().T @ flat)
+        defect = np.abs(np.linalg.eigvalsh(gram - np.eye(11))).max()
+        expected = float(defect) * (1.0 + 1e-9) + 1e-14
+        family = composite_kraus.__wrapped__(params, alpha)
+        assert family.completeness_tolerance == expected
 
 
 class TestFactoredUpdate:

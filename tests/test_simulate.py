@@ -420,10 +420,12 @@ def test_ensemble_memory_peak_within_budget():
 
 
 # tracemalloc peak of a 300-step photon-box feedback run that stores its
-# states and steps: 7.78-7.81 MB measured with families that keep their
-# factors (300 distinct families), 27.3 MB when each family also kept its 21
-# dense operators and their adjoints. Stored dense stacks would add ~12 MB.
-FEEDBACK_PEAK_BUDGET = 9_000_000
+# states and steps: 5.85-5.91 MB measured with steps that share eta's
+# factorization (one 6 x 11 x 11 W stack for all 300 distinct families),
+# 7.76-7.81 MB when each step kept its own W, 27.3 MB when each family also
+# kept its 21 dense operators and their adjoints. Stored dense stacks would
+# add ~12 MB.
+FEEDBACK_PEAK_BUDGET = 7_000_000
 
 
 def test_feedback_memory_peak_within_budget():
