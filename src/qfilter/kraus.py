@@ -92,7 +92,7 @@ class KrausFamily:
         if not np.all(np.isfinite(ops)):
             raise ValidationError("Kraus operators contain NaN or Inf entries")
         ones = np.ones((1, ops.shape[1]))
-        self._set_factors(ones, ops, completeness_tolerance, labels)
+        self._set_factors(ones, ops, float(completeness_tolerance), labels)
 
     @classmethod
     def _factored(cls, inner, outer, tolerance=None, labels=None) -> "KrausFamily":

@@ -58,6 +58,13 @@ class TestKrausFamily:
                 [0.5 * np.eye(2), 0.5 * np.eye(2)], completeness_tolerance=tolerance
             )
 
+    def test_missing_completeness_tolerance_rejected(self):
+        # only KrausFamily._factored measures a tolerance it is not given
+        with pytest.raises(TypeError):
+            KrausFamily(
+                [0.5 * np.eye(2), 0.5 * np.eye(2)], completeness_tolerance=None
+            )
+
     def test_labels_length_checked(self):
         with pytest.raises(Exception):
             KrausFamily([np.eye(2)], labels=["a", "b"])
