@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernel and density-operator algebra.
+"""Dense matrix kernel and density-operator algebra.
 
 A density operator is a Hermitian, positive semidefinite, unit-trace complex
 matrix. This module owns the numerical contracts everything else leans on:
@@ -11,6 +11,12 @@ the squared convention, so F coincides with |<psi|phi>|^2 on pure states
 
 All arrays handed out are read-only; constructed operators are immutable and
 safe to share across trajectory workers.
+
+A ``DensityOperator`` is always complex128. The stacked kernels the block
+engine runs (``_validated``, ``_fidelities``, ``_real_divide``) take the
+dtype of their input: float64 for the states of a real model (real Kraus
+factors, real initial states; a real symmetric matrix is Hermitian), which
+runs real gemms and eigensolvers, and complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -129,15 +135,25 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _real_divide(x: np.ndarray, t, out=None) -> np.ndarray:
-    """x / t for complex x and real t > 0 (a scalar, or one per matrix of x).
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """x's real part (a view) if x is complex with an exactly zero imaginary
+    part, else x."""
+    return x.real if np.iscomplexobj(x) and not x.imag.any() else x
 
-    Multiplying by 1/t - 0j rounds, and signs zeros, as numpy's complex
-    division by t + 0j does, at a third of the cost (bar underflow to zero).
+
+def _real_divide(x: np.ndarray, t, out=None) -> np.ndarray:
+    """x / t for real or complex x and real t > 0 (a scalar, or one per matrix of x).
+
+    Multiplies by 1/t, which for complex x is 1/t - 0j: that rounds, and
+    signs zeros, as numpy's complex division by t + 0j does, at a third of
+    the cost (bar underflow to zero). For real x it is 1/t, and the product
+    is the real part of x * (1/t - 0j) but for the sign of a zero.
     """
     if np.ndim(t):
-        return np.multiply(x, np.reciprocal(t + 0j)[..., None, None], out=out)
-    return np.multiply(x, complex(1.0 / t, -0.0), out=out)
+        r = np.reciprocal(t + 0j if np.iscomplexobj(x) else t)[..., None, None]
+    else:
+        r = complex(1.0 / t, -0.0) if np.iscomplexobj(x) else 1.0 / t
+    return np.multiply(x, r, out=out)
 
 
 def _validated(m: np.ndarray, tol: Tolerances, out=None, scratch=None) -> np.ndarray:

@@ -19,6 +19,12 @@ cached on the bytes of their inputs, so every family with that inner stack
 Only the outer stack, its Gram and its per-k products B_k^dag B_k are built
 per family.
 
+The factors are stored as float64 when their imaginary parts are exactly
+zero (the photon box at a real drive amplitude), else as complex128, and
+the step kernels take the dtype of the factors and the states: a real
+model runs real gemms. The dense ``operators``, ``weighted_image`` and
+``apply_jump`` stay complex128.
+
 Approximately complete families (deficit up to a declared tolerance) are
 accepted; probability vectors are then renormalized. This accommodates
 physically truncated models whose completeness holds only to second order
@@ -33,7 +39,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances, _real_divide
+from .density import (
+    DEFAULT_TOLERANCES,
+    DensityOperator,
+    Tolerances,
+    _real_divide,
+    _real_if_exact,
+)
 from .errors import (
     CompletenessViolationError,
     DimensionMismatchError,
@@ -64,7 +76,8 @@ class KrausFamily:
 
     Labels are human-readable metadata only; all math indexes by position.
     ``KrausFamily(operators)`` is an unfactored family; ``_factored`` builds
-    one from its inner diagonals and outer stack.
+    one from its inner diagonals and outer stack. A factor whose imaginary
+    part is exactly zero is stored as float64; ``operators`` is complex128.
     """
 
     __slots__ = (
@@ -113,8 +126,10 @@ class KrausFamily:
             raise ValidationError(
                 f"completeness_tolerance must be finite and >= 0, got {tol!r}"
             )
-        # Read-only, contiguous (K*d, d) layouts so per-step algebra is two gemms.
-        inner, outer = np.ascontiguousarray(inner), np.ascontiguousarray(outer)
+        # Read-only, contiguous (K*d, d) layouts so per-step algebra is two gemms;
+        # real when exactly real, so a real model runs real gemms.
+        inner = np.ascontiguousarray(_real_if_exact(np.asarray(inner)))
+        outer = np.ascontiguousarray(_real_if_exact(np.asarray(outer)))
         adjoints = outer.conj().transpose(0, 2, 1).reshape(k * d, d)
         _read_only(inner, outer, adjoints)
         self._inner, self._flat = inner, outer.reshape(k * d, d)
@@ -132,12 +147,13 @@ class KrausFamily:
 
     @property
     def operators(self) -> np.ndarray:
-        """The dense stack (m, d, d); a factored family builds it on each call."""
+        """The dense complex stack (m, d, d); a factored or real family builds
+        it on each call."""
         d = self.dim
-        outer = self._flat.reshape(-1, d, d)
-        if len(self._inner) == 1 and (self._inner == 1).all():
-            return outer
-        return (outer[None] * self._inner[:, None, None, :]).reshape(-1, d, d)
+        dense = self._flat.reshape(-1, d, d)
+        if not (len(self._inner) == 1 and (self._inner == 1).all()):
+            dense = (dense[None] * self._inner[:, None, None, :]).reshape(-1, d, d)
+        return dense.astype(np.complex128, copy=False)
 
     @property
     def count(self) -> int:
@@ -164,11 +180,14 @@ def _check_dim(family: KrausFamily, rho: DensityOperator) -> None:
         )
 
 
-def _workspace(family: KrausFamily, n: int, work=None) -> np.ndarray:
-    """``work`` if it holds the (2K + 1) N d^2 entries of ``_weighted_images``
-    of n states (W o x, the images and their rearrangement), else a new buffer."""
+def _workspace(family: KrausFamily, n: int, work=None, dtype=np.complex128) -> np.ndarray:
+    """``work`` if it is of ``dtype`` and holds the (2K + 1) N d^2 entries of
+    ``_weighted_images`` of n states (W o x, the images and their
+    rearrangement), else a new buffer."""
     size = (2 * len(family._flat) + family.dim) * n * family.dim
-    return work if work is not None and work.size >= size else np.empty(size, complex)
+    if work is not None and work.size >= size and work.dtype == dtype:
+        return work
+    return np.empty(size, dtype)
 
 
 def _weighted_images(

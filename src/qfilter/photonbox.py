@@ -146,9 +146,12 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
     D(r) = exp(-i r H), exponentiated on the spectrum of H = i(adag - a),
     which is diagonalized once per ``n_max``; R V and its adjoint are kept
     per (n_max, theta). D is unitary to eigensolver accuracy, and exactly I
-    at alpha = 0. For |alpha|^2 approaching the cutoff the operator no longer
-    matches the infinite-dimensional displacement; a warning is emitted when
-    |alpha|^2 > n_max / 4.
+    at alpha = 0. For real alpha, D = exp(alpha (adag - a)) is real
+    orthogonal, and is returned as float64 (the eigensolver's imaginary
+    noise, about 1e-17, is dropped), so a real drive keeps the model real;
+    otherwise it is complex128. For |alpha|^2 approaching the cutoff the
+    operator no longer matches the infinite-dimensional displacement; a
+    warning is emitted when |alpha|^2 > n_max / 4.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -161,10 +164,11 @@ def displacement(alpha: complex, n_max: int) -> np.ndarray:
             stacklevel=2,
         )
     if alpha == 0:
-        return np.eye(n_max + 1, dtype=np.complex128)
+        return np.eye(n_max + 1)
     w, _ = _generator_eigh(n_max)
     rotated, adjoint = _rotated_eigenvectors(n_max, float(np.angle(alpha)))
-    return (rotated * np.exp(-1j * abs(alpha) * w)) @ adjoint
+    d = (rotated * np.exp(-1j * abs(alpha) * w)) @ adjoint
+    return np.ascontiguousarray(d.real) if alpha.imag == 0 else d
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,10 +256,10 @@ def cavity_completeness_deficit(
 
 @functools.lru_cache(maxsize=128)
 def _sectors(params: PhotonBoxParams) -> Tuple[np.ndarray, np.ndarray]:
-    """The atom diagonals (7, d), real, and the cavity stack (3, d, d)."""
+    """The atom diagonals (7, d) and the cavity stack (3, d, d), both real."""
     elementary = l_operators(params)
     atoms = np.stack([np.diagonal(elementary[qa]).real for qa in ATOM_JUMPS])
-    return atoms, np.stack([elementary[qc] for qc in CAVITY_JUMPS])
+    return atoms, np.stack([elementary[qc].real for qc in CAVITY_JUMPS])
 
 
 _LABELS = tuple(f"({qa},{qc})" for qa in ATOM_JUMPS for qc in CAVITY_JUMPS)
@@ -273,6 +277,9 @@ def composite_kraus(params: PhotonBoxParams, alpha: complex = 0.0) -> KrausFamil
     probability checks stay honest; the family forms the completeness Gram
     once, for both. Results are cached per (params, alpha), the sectors per
     params.
+
+    Both sectors are real, so for real alpha (a real displacement) the
+    family's factors are real and the step engine runs in float64.
 
     Only the outer stack is built per alpha. Every alpha shares the atom
     diagonals, and through them the read-only arrays that depend only on

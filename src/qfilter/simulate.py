@@ -20,13 +20,21 @@ stacks (1 + F, N, d, d) for F filters (the states; what a step produces,
 validated and symmetrized back into the states; scratch) and the filter
 update's workspace, which grows if a feedback provider returns more outer
 operators. Stored states and the estimate handed to a callable provider
-outlive the step, so they are read-only copies, never views.
+outlive the step, so they are read-only complex128 copies, never views.
+
+The buffers take the dtype of the data: float64 when the initial states and
+the factors of every step are exactly real (the photon box at a real drive
+amplitude), so the block runs real gemms and eigensolvers, else complex128.
+Under a callable provider a block of real initial states starts real; the
+first step with complex factors upcasts its buffers, once. Records, stored
+states and the feedback estimate are complex128 either way.
 
 Block size: a filter update forms the images B_k x_n of the block's N states
 under the step's K outer operators and their weighted rearrangement, 32*K*d*d
-bytes per trajectory; a block holds BLOCK_BYTES // (32*K*d*d) trajectories
-(22 for the photon box, K = 3 and d = 11), at least one. The buffers of such
-a block, with two filters and the transposed input, hold about 0.68 MB.
+bytes per trajectory in complex128 (half that in float64); a block holds
+BLOCK_BYTES // (32*K*d*d) trajectories whatever its dtype (22 for the photon
+box, K = 3 and d = 11), at least one. The complex buffers of such a block,
+with two filters and the transposed input, hold about 0.68 MB.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .density import (
     Tolerances,
     _fidelities,
     _real_divide,
+    _real_if_exact,
     _validated,
 )
 from .errormodel import inverse_cdf_rows
@@ -155,16 +164,26 @@ class TrajectoryRecord:
 BLOCK_BYTES = 1 << 18
 
 
-def _block_size(config: TrajectoryConfig) -> int:
-    """Trajectories per block: one under a callable (feedback) provider."""
+def _fixed_steps(config: TrajectoryConfig) -> List[MeasurementStep]:
+    """The steps of the horizon; none under a callable (feedback) provider."""
     provider = config.steps
     if isinstance(provider, MeasurementStep):
-        steps = [provider]
-    elif callable(provider):
+        return [provider]
+    return [] if callable(provider) else list(provider[: config.horizon])
+
+
+def _block_size(config: TrajectoryConfig) -> int:
+    """Trajectories per block: one under a callable (feedback) provider."""
+    steps = _fixed_steps(config)
+    if not steps:
         return 1
-    else:
-        steps = provider[: config.horizon]
     return max(1, BLOCK_BYTES // (32 * max(s._factors[0]._flat.size for s in steps)))
+
+
+def _dtype(step: MeasurementStep) -> np.dtype:
+    """float64 if the factors the truth and the filters run on are real."""
+    outer, hadamard, _ = step._factors
+    return np.result_type(step.family._inner, step.family._flat, outer._flat, hadamard)
 
 
 def _advance_truth(
@@ -214,7 +233,7 @@ def _resolve_step(
     if isinstance(provider, MeasurementStep):
         return provider
     if callable(provider):
-        return provider(k, DensityOperator._trusted(estimate.copy()))
+        return provider(k, DensityOperator._trusted(estimate.astype(np.complex128)))
     return provider[k - 1]
 
 
@@ -245,8 +264,11 @@ def _update_filters(
     _real_divide(out, np.where(low, 1.0, denominators), out=out)
     regularized = [(int(f), int(i)) for f, i in np.argwhere(low)] if low.any() else []
     for f, i in regularized:
-        state = FilterState(estimate=DensityOperator._trusted(estimates[f, i].copy()))
-        out[f, i] = filter_update(state, step, int(p[i]), tolerances).estimate.matrix
+        rho = DensityOperator._trusted(estimates[f, i].astype(np.complex128))
+        update = filter_update(FilterState(rho), step, int(p[i]), tolerances)
+        # In a real block the update is real: its imaginary part is exactly zero.
+        update = update.estimate.matrix
+        out[f, i] = update if np.iscomplexobj(out) else _real_if_exact(update)
     return regularized
 
 
@@ -263,12 +285,15 @@ def _run_block(
         [np.random.default_rng(seed).random(2 * horizon) for seed in seeds]
     ).reshape(n, horizon, 2)
 
-    # The block's buffers. states[0] is the truth, states[1 + f] filter f.
-    states = np.empty((1 + len(names), n, d, d), dtype=np.complex128)
+    # The block's buffers, real if the data is. states[0] is the truth,
+    # states[1 + f] filter f.
+    initials = [config.true_initial] + [config.filter_initials[name] for name in names]
+    initials = _real_if_exact(np.stack([rho.matrix for rho in initials]))
+    dtype = np.result_type(initials, *map(_dtype, _fixed_steps(config)))
+    states = np.empty((1 + len(names), n, d, d), dtype)
     produced, scratch = np.empty_like(states), np.empty_like(states)
     work = None
-    initials = [config.true_initial] + [config.filter_initials[name] for name in names]
-    states[:] = np.stack([rho.matrix for rho in initials])[:, None]
+    states[:] = initials[:, None]
     slots = [(1 + names.index(a), 1 + names.index(b)) for a, b in config.fidelity_pairs]
     # Per step: the fidelities (N,) of each pair, and the outcomes q and p.
     fids = [[_fidelities(states[a], states[b], scratch[:2]) for a, b in slots]]
@@ -284,6 +309,10 @@ def _run_block(
         step = _resolve_step(config.steps, k, states[1, 0])
         used_steps.append(step)
         family = step.family
+        dtype = np.result_type(states, _dtype(step))
+        if dtype != states.dtype:  # a complex step in a real block: upcast, once
+            states = states.astype(dtype)
+            produced, scratch = np.empty_like(states), np.empty_like(states)
         effects = effects_of.get(id(step))
         if effects is None:
             effects = _effects(family)
@@ -297,7 +326,7 @@ def _run_block(
             probs = _clamp_and_renormalize(raw, family.completeness_tolerance)
             predictions.append(probs.reshape(len(names), n, -1))
         tol = config.tolerances
-        work = _workspace(step._factors[0], n, work)
+        work = _workspace(step._factors[0], n, work, states.dtype)
         regularized = _update_filters(step, states[1:], p, tol, produced[1:], work)
         _validated(produced, tol, out=states, scratch=scratch)
         outcomes.append((q, p))
@@ -305,7 +334,7 @@ def _run_block(
             flagged[i].append((k, names[f]))
         fids.append([_fidelities(states[a], states[b], scratch[:2]) for a, b in slots])
         if config.store_states:
-            history.append(states.copy())
+            history.append(states.astype(np.complex128))
 
     matched = _find_truth_matched(config.true_initial, config.filter_initials)
     steps = tuple(used_steps)

@@ -144,6 +144,13 @@ class TestInPlaceKernels:
             for t in (2.0, 3.0, floor, 1e-300):
                 assert np.array_equal(bits(_real_divide(x, t)), bits(x / t))
 
+    def test_real_divide_of_real_x_is_the_real_part_of_the_complex_one(self, rng):
+        x = rng.standard_normal((6, 4, 4))
+        for t in (rng.uniform(0.5, 2.0, 6), 3.0, np.nextafter(PROB_FLOOR, 1.0)):
+            got = _real_divide(x, t)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _real_divide(x + 0j, t).real)
+
     def test_validated_into_buffers_matches_allocating_call(self, rng):
         stack = np.stack([random_density_operator(rng, 5).matrix for _ in range(8)])
         noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)

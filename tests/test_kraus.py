@@ -80,6 +80,19 @@ class TestKrausFamily:
             assert completeness_deficit(family) < 1e-13
 
 
+    def test_real_family_hands_out_complex_operators(self):
+        # Guards the boundary: a real family stores real factors, but its
+        # dense operators stay complex128.
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        for family in (
+            KrausFamily(ops, completeness_tolerance=1e-12),
+            composite_kraus(PhotonBoxParams(), 0.3),
+        ):
+            assert family._flat.dtype == np.float64
+            assert family.operators.dtype == np.complex128
+        assert np.array_equal(family.operators.imag, np.zeros((21, 11, 11)))
+
+
 class TestJumpProbabilities:
     def test_single_identity(self, rng):
         rho = random_density_operator(rng, 2)

@@ -66,6 +66,14 @@ class TestDisplacement:
         mean_n = float((coherent.conj() @ n_op @ coherent).real)
         assert abs(mean_n - 0.25) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, -0.7, 1.0])
+    def test_real_amplitude_gives_a_real_orthogonal_operator(self, alpha):
+        # Guards the real model: D(alpha) = exp(alpha (adag - a)) is real for
+        # real alpha, with no eigensolver noise in its imaginary part.
+        d = displacement(alpha, 10)
+        assert not d.imag.any()
+        assert np.abs(d.T @ d - np.eye(11)).max() <= 1e-14
+
     def test_truncation_warning(self):
         with pytest.warns(TruncationWarning):
             displacement(2.5, 8)
