@@ -266,8 +266,8 @@ def _update_filters(
     for f, i in regularized:
         rho = DensityOperator._trusted(estimates[f, i].astype(np.complex128))
         update = filter_update(FilterState(rho), step, int(p[i]), tolerances)
-        # In a real block the update is real: its imaginary part is exactly zero.
         update = update.estimate.matrix
+        # In a real block the update is real: its imaginary part is exactly zero.
         out[f, i] = update if np.iscomplexobj(out) else _real_if_exact(update)
     return regularized
 

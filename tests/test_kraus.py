@@ -79,7 +79,6 @@ class TestKrausFamily:
             family = random_kraus_family(rng, d, m)
             assert completeness_deficit(family) < 1e-13
 
-
     def test_real_family_hands_out_complex_operators(self):
         # Guards the boundary: a real family stores real factors, but its
         # dense operators stay complex128.
