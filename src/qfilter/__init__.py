@@ -50,10 +50,6 @@ from .stability import (
     check_fidelity_inequality,
     ensemble_submartingale,
     exact_one_step_submartingale,
-    random_density_operator,
-    random_error_model,
-    random_kraus_family,
-    random_measurement_step,
 )
 from . import errors
 
@@ -88,10 +84,6 @@ __all__ = [
     "check_fidelity_inequality",
     "ensemble_submartingale",
     "exact_one_step_submartingale",
-    "random_density_operator",
-    "random_error_model",
-    "random_kraus_family",
-    "random_measurement_step",
     "errors",
 ]
 

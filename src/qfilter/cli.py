@@ -37,7 +37,7 @@ from .config import (
 )
 from .density import Tolerances
 from .errors import ConfigError, QFilterError
-from .filtering import FilterState, filter_update, outcome_probabilities
+from .filtering import outcome_probabilities, run_filter
 from .photonbox import (
     ATOM_JUMPS,
     CAVITY_JUMPS,
@@ -192,8 +192,8 @@ def cmd_filter(args) -> int:
                 f"m_real={steps[k].m_real}"
             )
 
+    states = run_filter(initial, steps, outcomes, tolerances=config.tolerances)
     path = out / "filter.jsonl"
-    state = FilterState(estimate=initial)
     with path.open("w") as fh:
         fh.write(
             serialize.dumps(
@@ -207,9 +207,7 @@ def cmd_filter(args) -> int:
             + "\n"
         )
         for k, p in enumerate(outcomes, start=1):
-            step = steps[k - 1]
-            predicted = outcome_probabilities(state, step)
-            state = filter_update(state, step, p, config.tolerances)
+            predicted = outcome_probabilities(states[k - 1], steps[k - 1])
             fh.write(
                 serialize.dumps(
                     {
@@ -217,8 +215,8 @@ def cmd_filter(args) -> int:
                         "k": k,
                         "outcome": p,
                         "predicted": predicted.tolist(),
-                        "regularized": state.regularized,
-                        "estimate": serialize.density_to_dict(state.estimate),
+                        "regularized": states[k].regularized,
+                        "estimate": serialize.density_to_dict(states[k].estimate),
                     }
                 )
                 + "\n"

@@ -13,6 +13,7 @@ on the JSON content, so a config re-parsed after a JSON round trip is equal.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .errors import ConfigError, ValidationError
 from .filtering import MeasurementStep
 from .photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from .serialize import matrix_from_dict, step_from_dict
+from .verify import ALL_SUITES
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -228,7 +230,7 @@ CONFIG_SCHEMA = {
         "store_states": {"type": "boolean"},
         "record_predictions": {"type": "boolean"},
         "checks": {"type": "array", "items": {"type": "string"}},
-        "verify": {"type": "object"},
+        "verify": {"type": "object", "additionalProperties": {"type": "object"}},
         "tolerances": {
             "type": "object",
             "additionalProperties": {"type": "number"},
@@ -272,6 +274,8 @@ def parse_config(data: Dict) -> ExperimentConfig:
     if err is not None:
         path = "$" + "".join(f"[{p!r}]" for p in err.absolute_path)
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
+    verify = dict(data.get("verify", {}))
+    _check_verify(verify)
 
     return ExperimentConfig(
         model=data["model"],
@@ -286,10 +290,29 @@ def parse_config(data: Dict) -> ExperimentConfig:
         store_states=bool(data.get("store_states", False)),
         record_predictions=bool(data.get("record_predictions", False)),
         checks=tuple(str(c) for c in data.get("checks", [])),
-        verify=dict(data.get("verify", {})),
+        verify=verify,
         tolerances=parse_tolerances(data.get("tolerances", {})),
         output_directory=str(data.get("output", {}).get("directory", "out")),
     )
+
+
+def _check_verify(block: Mapping[str, Mapping]) -> None:
+    """Every suite the ``verify`` block names exists and takes every
+    parameter it is given, before any suite runs."""
+    for suite, params in block.items():
+        if suite not in ALL_SUITES:
+            raise ConfigError(
+                f"unknown verify suite {suite!r}; expected one of "
+                f"{', '.join(ALL_SUITES)}"
+            )
+        # signature() reads through functools.wraps, so wrapped suites check too.
+        accepted = inspect.signature(ALL_SUITES[suite]).parameters
+        for name in params:
+            if name not in accepted:
+                raise ConfigError(
+                    f"unknown parameter {name!r} for verify suite {suite!r}; "
+                    f"expected one of {', '.join(accepted)}"
+                )
 
 
 def parse_tolerances(

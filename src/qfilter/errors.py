@@ -16,28 +16,33 @@ class ValidationError(QFilterError, ValueError):
     """A value failed a structural or numerical invariant."""
 
 
-class NonHermitianError(ValidationError):
+class _ToleranceError(QFilterError):
+    """A measured ``deviation`` exceeded its ``tolerance``; each subclass
+    words the message through its ``template``."""
+
+    template: str
+
+    def __init__(self, deviation: float, tolerance: float):
+        self.deviation = float(deviation)
+        self.tolerance = float(tolerance)
+        super().__init__(
+            self.template.format(deviation=deviation, tolerance=tolerance)
+        )
+
+
+class NonHermitianError(_ToleranceError, ValidationError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 
-    def __init__(self, deviation: float, tolerance: float):
-        self.deviation = float(deviation)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} "
-            f"exceeds tolerance {tolerance:.3e}"
-        )
+    template = (
+        "matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} "
+        "exceeds tolerance {tolerance:.3e}"
+    )
 
 
-class TraceDeviationError(ValidationError):
+class TraceDeviationError(_ToleranceError, ValidationError):
     """Trace differs from 1 beyond tolerance."""
 
-    def __init__(self, deviation: float, tolerance: float):
-        self.deviation = float(deviation)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"trace deviates from 1 by {deviation:.3e} "
-            f"(tolerance {tolerance:.3e})"
-        )
+    template = "trace deviates from 1 by {deviation:.3e} (tolerance {tolerance:.3e})"
 
 
 class NegativeEigenvalueError(ValidationError):
@@ -64,16 +69,13 @@ class ZeroProbabilityJumpError(QFilterError, ValueError):
     """Requested jump has probability at or below the probability floor."""
 
 
-class ProbabilityDeficitError(QFilterError, ValueError):
+class ProbabilityDeficitError(_ToleranceError, ValueError):
     """Probability vector fails to sum to 1 within the family's tolerance."""
 
-    def __init__(self, deviation: float, tolerance: float):
-        self.deviation = float(deviation)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"probabilities sum to 1 {deviation:+.3e} "
-            f"(allowed deviation {tolerance:.3e})"
-        )
+    template = (
+        "probabilities sum to 1 {deviation:+.3e} "
+        "(allowed deviation {tolerance:.3e})"
+    )
 
 
 class NegativeEntryError(ValidationError):
@@ -123,16 +125,13 @@ class BadPartitionError(QFilterError, ValueError):
     """Index partition is not a disjoint cover of the operator list."""
 
 
-class CompletenessViolationError(ValidationError):
+class CompletenessViolationError(_ToleranceError, ValidationError):
     """Operator family's sum of M^dag M deviates from identity beyond tolerance."""
 
-    def __init__(self, deviation: float, tolerance: float):
-        self.deviation = float(deviation)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"sum of M^dag M deviates from identity by {deviation:.3e} "
-            f"(tolerance {tolerance:.3e})"
-        )
+    template = (
+        "sum of M^dag M deviates from identity by {deviation:.3e} "
+        "(tolerance {tolerance:.3e})"
+    )
 
 
 class EnsembleTooSmallError(QFilterError, ValueError):

@@ -46,7 +46,6 @@ def _check_instance(
     initial: DensityOperator,
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
-    guard: int,
 ) -> int:
     if len(steps) != len(outcomes):
         raise DimensionMismatchError(
@@ -63,14 +62,14 @@ def _check_instance(
                 f"outcome {p} out of range for m_real={step.m_real}"
             )
         total *= step.m_ideal
-    if total > guard:
+    if total > ENUMERATION_GUARD:
         branching = max((s.m_ideal for s in steps), default=1)
         max_k = 0
         cap = 1
-        while cap * branching <= guard:
+        while cap * branching <= ENUMERATION_GUARD:
             cap *= branching
             max_k += 1
-        raise CombinatorialExplosionError(total, guard, max_k)
+        raise CombinatorialExplosionError(total, ENUMERATION_GUARD, max_k)
     return total
 
 
@@ -129,16 +128,15 @@ def direct_estimate(
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
     *,
-    guard: int = ENUMERATION_GUARD,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityOperator:
     """Non-recursive optimal estimate by exhaustive jump-sequence enumeration.
 
-    Raises CombinatorialExplosionError when the instance exceeds ``guard``
-    sequences, and ZeroEvidenceError when the outcome record is impossible
-    from the initial state.
+    Raises CombinatorialExplosionError when the instance exceeds
+    ``ENUMERATION_GUARD`` sequences, and ZeroEvidenceError when the outcome
+    record is impossible from the initial state.
     """
-    _check_instance(initial, steps, outcomes, guard)
+    _check_instance(initial, steps, outcomes)
     weighted_sum, evidence, _ = _enumerate(
         initial, steps, outcomes, collect_terms=False
     )
@@ -153,15 +151,13 @@ def sequence_posterior(
     initial: DensityOperator,
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
-    *,
-    guard: int = ENUMERATION_GUARD,
 ) -> Dict[Tuple[int, ...], float]:
     """Posterior probability of each ideal-jump sequence given the record.
 
     Each entry is proportional to the eta-weight product times
     tr(M_vec rho1 M_vec^dag); the map sums to 1.
     """
-    _check_instance(initial, steps, outcomes, guard)
+    _check_instance(initial, steps, outcomes)
     _, evidence, terms = _enumerate(initial, steps, outcomes, collect_terms=True)
     if evidence <= PROB_FLOOR:
         raise ZeroEvidenceError(
@@ -174,14 +170,12 @@ def marginal_evidence(
     initial: DensityOperator,
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
-    *,
-    guard: int = ENUMERATION_GUARD,
 ) -> float:
     """Probability of the detector record given the initial state.
 
     Telescopes into the product over steps of the filter's predicted
     outcome probabilities, which is how the test suite cross-checks it.
     """
-    _check_instance(initial, steps, outcomes, guard)
+    _check_instance(initial, steps, outcomes)
     _, evidence, _ = _enumerate(initial, steps, outcomes, collect_terms=False)
     return evidence

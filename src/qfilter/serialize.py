@@ -14,11 +14,11 @@ Conventions:
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .density import DensityOperator, Tolerances
+from .density import DensityOperator
 from .errormodel import ErrorModel
 from .errors import ValidationError
 from .filtering import MeasurementStep
@@ -30,12 +30,10 @@ __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
     "density_to_dict",
-    "density_from_dict",
     "kraus_family_to_dict",
     "kraus_family_from_dict",
     "error_model_to_dict",
     "error_model_from_dict",
-    "step_to_dict",
     "step_from_dict",
     "record_to_dict",
 ]
@@ -74,13 +72,6 @@ def density_to_dict(rho: DensityOperator) -> Dict:
     return matrix_to_dict(rho.matrix)
 
 
-def density_from_dict(data: Dict, tolerances: Optional[Tolerances] = None) -> DensityOperator:
-    m = matrix_from_dict(data)
-    if tolerances is None:
-        return DensityOperator(m)
-    return DensityOperator(m, tolerances)
-
-
 def kraus_family_to_dict(family: KrausFamily) -> Dict:
     return {
         "completeness_tolerance": family.completeness_tolerance,
@@ -113,14 +104,6 @@ def error_model_from_dict(data: Dict) -> ErrorModel:
             f"but carries shape {eta.shape}"
         )
     return ErrorModel(eta)
-
-
-def step_to_dict(step: MeasurementStep) -> Dict:
-    return {
-        "kraus": kraus_family_to_dict(step.family),
-        "eta": error_model_to_dict(step.errors),
-        "label": step.label,
-    }
 
 
 def step_from_dict(data: Dict) -> MeasurementStep:

@@ -12,9 +12,6 @@ partitioned-channel inequality, A_j(X) = sum_{i in part_j} L_i X L_i^dag, is
 the same check with a 0/1 detector: eta[j, i] = 1 iff i is in part j. For
 ensembles, the per-step mean fidelity increment must stay above -3 standard
 errors.
-
-Also home to the seeded random-instance generators (states, exactly
-complete Kraus families, error models) used by the verification suites.
 """
 
 from __future__ import annotations
@@ -49,78 +46,7 @@ __all__ = [
     "exact_one_step_submartingale",
     "ensemble_submartingale",
     "check_fidelity_inequality",
-    "random_density_operator",
-    "random_kraus_family",
-    "random_error_model",
-    "random_measurement_step",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Random instance generators (seeded, reproducible)
-# ---------------------------------------------------------------------------
-
-def random_density_operator(
-    rng: np.random.Generator, dim: int, rank: Optional[int] = None
-) -> DensityOperator:
-    """G G^dag / tr with complex Gaussian G; full rank unless ``rank`` given."""
-    rank = dim if rank is None else rank
-    if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return DensityOperator(rho / np.trace(rho).real)
-
-
-def random_kraus_family(
-    rng: np.random.Generator, dim: int, n_ops: int
-) -> KrausFamily:
-    """Exactly complete family from an orthonormalized random isometry.
-
-    Stacks n_ops random blocks into an (n_ops * dim, dim) matrix, QR-
-    orthonormalizes its columns, and splits back: sum M^dag M = I to
-    machine precision by construction.
-    """
-    stacked = rng.standard_normal((n_ops * dim, dim)) + 1j * rng.standard_normal(
-        (n_ops * dim, dim)
-    )
-    q, _ = np.linalg.qr(stacked)
-    return KrausFamily(
-        q.reshape(n_ops, dim, dim), completeness_tolerance=1e-12
-    )
-
-
-def random_error_model(
-    rng: np.random.Generator,
-    m_real: int,
-    m_ideal: int,
-    *,
-    strictly_positive: bool = False,
-) -> ErrorModel:
-    """Random left-stochastic matrix; last row absorbs rounding so columns
-    sum to 1 exactly. ``strictly_positive`` bounds entries away from zero
-    (needed when the coarse operators must all be nonzero)."""
-    low = 0.05 if strictly_positive else 0.0
-    eta = low + rng.random((m_real, m_ideal))
-    eta /= eta.sum(axis=0)
-    eta[-1, :] = 1.0 - eta[:-1, :].sum(axis=0)
-    return ErrorModel(eta)
-
-
-def random_measurement_step(
-    rng: np.random.Generator,
-    dim: int,
-    m_ideal: int,
-    m_real: int,
-    *,
-    strictly_positive_eta: bool = False,
-) -> MeasurementStep:
-    return MeasurementStep(
-        family=random_kraus_family(rng, dim, m_ideal),
-        errors=random_error_model(
-            rng, m_real, m_ideal, strictly_positive=strictly_positive_eta
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +171,13 @@ def ensemble_submartingale(
     *,
     exact_checks: int = 0,
     exact_check_seed: int = 0,
-    exact_slack_tol: float = 1e-9,
 ) -> SubmartingaleReport:
     """Aggregate the fidelity increments of an ensemble into a report.
 
     Requires at least 100 trajectories. ``pair`` defaults to the single
     recorded fidelity pair when unambiguous. ``exact_checks`` > 0 samples
     that many (trajectory, step) points from records that stored states and
-    re-verifies the exact one-step inequality there.
+    re-verifies the exact one-step inequality there, at slack 1e-9.
     """
     if len(records) < 100:
         raise EnsembleTooSmallError(
@@ -303,9 +228,7 @@ def ensemble_submartingale(
                     for name in pair
                 )
                 try:
-                    check = exact_one_step_submartingale(
-                        rho_hat, rho_e, r.steps[k], slack_tol=exact_slack_tol
-                    )
+                    check = exact_one_step_submartingale(rho_hat, rho_e, r.steps[k])
                     slack = check.slack
                 except SubmartingaleViolationError as err:
                     slack = err.rhs - err.lhs
@@ -337,12 +260,10 @@ def check_fidelity_inequality(
     partition: Sequence[Sequence[int]],
     rho: DensityOperator,
     sigma: DensityOperator,
-    *,
-    completeness_tol: float = 1e-9,
 ) -> OneStepCheck:
     """Evaluate both sides of the partitioned-channel fidelity inequality.
 
-    ``operators`` must satisfy sum L^dag L = I within ``completeness_tol``
+    ``operators`` must satisfy sum L^dag L = I within 1e-9
     (CompletenessViolationError otherwise) and contain no zero operator;
     ``partition`` must split their indices into disjoint non-empty parts
     covering everything (BadPartitionError otherwise). The check is the
@@ -352,7 +273,7 @@ def check_fidelity_inequality(
     limit and reported in ``regularized_outcomes``. The single-part
     partition reduces to monotonicity of fidelity under the full channel.
     """
-    family = KrausFamily(operators, completeness_tolerance=completeness_tol)
+    family = KrausFamily(operators, completeness_tolerance=1e-9)
     d = family.dim
     if rho.dim != d or sigma.dim != d:
         raise DimensionMismatchError(

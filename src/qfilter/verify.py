@@ -4,6 +4,21 @@ Each suite returns a CheckResult with measured quantities and a pass flag;
 failures never raise out of the suite, so a verification run always
 produces a complete machine-readable report. The CLI's ``verify``
 subcommand and the acceptance tests drive the same functions.
+
+A suite's only parameters are its size, its ``seed`` and, for the
+determinism suite, the ``horizon``. Every gate is fixed and reported in the
+result's ``tolerance``:
+
+- oracle: state deviation <= 1e-9, evidence deviation <= 1e-10;
+- ideal-reduction: deviation <= 1e-12;
+- submartingale-exact and inequality: no slack below -1e-9;
+- photonbox-structure: column sums and atom residual <= 1e-12, cavity
+  deficit ratio in [3.5, 4.5], unitarity and mean photon number <= 1e-6;
+- predictive-consistency: within 3 binomial standard deviations;
+- determinism: byte-identical reruns.
+
+Also home to the seeded random-instance generators (states, exactly
+complete Kraus families, error models) that the suites draw from.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ import numpy as np
 
 from .density import DensityOperator
 from .errormodel import ErrorModel
-from .errors import QFilterError, SubmartingaleViolationError
+from .errors import QFilterError, SubmartingaleViolationError, ValidationError
 from .filtering import FilterState, MeasurementStep, filter_update, outcome_probabilities, run_filter
 from .kraus import KrausFamily, apply_jump
 from .oracle import direct_estimate, marginal_evidence
@@ -29,13 +44,7 @@ from .photonbox import (
     fock_operators,
 )
 from .simulate import TrajectoryConfig, run_ensemble, run_trajectory
-from .stability import (
-    check_fidelity_inequality,
-    exact_one_step_submartingale,
-    random_density_operator,
-    random_kraus_family,
-    random_measurement_step,
-)
+from .stability import check_fidelity_inequality, exact_one_step_submartingale
 from . import serialize
 
 __all__ = [
@@ -66,19 +75,72 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
+def random_density_operator(
+    rng: np.random.Generator, dim: int, rank: Optional[int] = None
+) -> DensityOperator:
+    """G G^dag / tr with complex Gaussian G; full rank unless ``rank`` given."""
+    rank = dim if rank is None else rank
+    if not 1 <= rank <= dim:
+        raise ValidationError(f"rank must be in [1, {dim}], got {rank}")
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    return DensityOperator(rho / np.trace(rho).real)
+
+
+def random_kraus_family(
+    rng: np.random.Generator, dim: int, n_ops: int
+) -> KrausFamily:
+    """Exactly complete family from an orthonormalized random isometry.
+
+    Stacks n_ops random blocks into an (n_ops * dim, dim) matrix, QR-
+    orthonormalizes its columns, and splits back: sum M^dag M = I to
+    machine precision by construction.
+    """
+    stacked = rng.standard_normal((n_ops * dim, dim)) + 1j * rng.standard_normal(
+        (n_ops * dim, dim)
+    )
+    q, _ = np.linalg.qr(stacked)
+    return KrausFamily(
+        q.reshape(n_ops, dim, dim), completeness_tolerance=1e-12
+    )
+
+
+def random_error_model(
+    rng: np.random.Generator,
+    m_real: int,
+    m_ideal: int,
+    *,
+    strictly_positive: bool = False,
+) -> ErrorModel:
+    """Random left-stochastic matrix; last row absorbs rounding so columns
+    sum to 1 exactly. ``strictly_positive`` bounds entries away from zero
+    (needed when the coarse operators must all be nonzero)."""
+    low = 0.05 if strictly_positive else 0.0
+    eta = low + rng.random((m_real, m_ideal))
+    eta /= eta.sum(axis=0)
+    eta[-1, :] = 1.0 - eta[:-1, :].sum(axis=0)
+    return ErrorModel(eta)
+
+
+def random_measurement_step(
+    rng: np.random.Generator, dim: int, m_ideal: int, m_real: int
+) -> MeasurementStep:
+    return MeasurementStep(
+        family=random_kraus_family(rng, dim, m_ideal),
+        errors=random_error_model(rng, m_real, m_ideal),
+    )
+
+
 def _random_instance(
     rng: np.random.Generator,
-    dims: Sequence[int],
-    m_ideals: Sequence[int],
-    m_reals: Sequence[int],
-    max_k: int,
 ) -> Tuple[DensityOperator, List[MeasurementStep], List[int]]:
-    """Random filtering instance with outcomes sampled from the true process."""
-    d = int(rng.choice(dims))
-    k = int(rng.integers(1, max_k + 1))
+    """Random filtering instance with outcomes sampled from the true process:
+    dimension 2-4, 1-5 steps, 2 or 3 ideal and 2 or 3 real outcomes per step."""
+    d = int(rng.choice((2, 3, 4)))
+    k = int(rng.integers(1, 6))
     steps = [
         random_measurement_step(
-            rng, d, int(rng.choice(m_ideals)), int(rng.choice(m_reals))
+            rng, d, int(rng.choice((2, 3))), int(rng.choice((2, 3)))
         )
         for _ in range(k)
     ]
@@ -95,28 +157,21 @@ def _random_instance(
 
 
 def oracle_equivalence_suite(
-    n_instances: int = 200,
-    dims: Sequence[int] = (2, 3, 4),
-    m_ideals: Sequence[int] = (2, 3),
-    m_reals: Sequence[int] = (2, 3),
-    max_k: int = 5,
-    seed: int = 20240001,
-    state_tol: float = 1e-9,
-    evidence_tol: float = 1e-10,
+    n_instances: int = 200, seed: int = 20240001
 ) -> CheckResult:
     """Recursive filter vs. brute-force Bayes expansion on random instances.
 
     Also checks that the total record probability telescopes into the
-    product of the per-step predicted outcome probabilities.
+    product of the per-step predicted outcome probabilities. Gates: final
+    estimates within 1e-9 (max-norm), evidence within 1e-10.
     """
+    tolerance = {"state": 1e-9, "evidence": 1e-10}
     rng = np.random.default_rng(seed)
     max_state_dev = 0.0
     max_evidence_dev = 0.0
     try:
         for _ in range(n_instances):
-            initial, steps, outcomes = _random_instance(
-                rng, dims, m_ideals, m_reals, max_k
-            )
+            initial, steps, outcomes = _random_instance(rng)
             states = run_filter(initial, steps, outcomes)
             exact = direct_estimate(initial, steps, outcomes)
             dev = float(
@@ -133,30 +188,34 @@ def oracle_equivalence_suite(
         return CheckResult("oracle_equivalence", False, error=str(err))
     return CheckResult(
         name="oracle_equivalence",
-        passed=max_state_dev <= state_tol and max_evidence_dev <= evidence_tol,
+        passed=(
+            max_state_dev <= tolerance["state"]
+            and max_evidence_dev <= tolerance["evidence"]
+        ),
         measured={
             "n_instances": n_instances,
             "max_state_deviation": max_state_dev,
             "max_evidence_deviation": max_evidence_dev,
         },
-        tolerance={"state": state_tol, "evidence": evidence_tol},
+        tolerance=tolerance,
     )
 
 
 def ideal_reduction_suite(
-    n_instances: int = 100,
-    dims: Sequence[int] = (2, 3, 4),
-    m_ideals: Sequence[int] = (2, 3, 4),
-    seed: int = 20240002,
-    tol: float = 1e-12,
+    n_instances: int = 100, seed: int = 20240002
 ) -> CheckResult:
-    """With a perfect detector the filter update is exactly the jump update."""
+    """With a perfect detector the filter update is exactly the jump update.
+
+    Dimension and outcome count are drawn from 2-4. Gate: max-norm
+    deviation <= 1e-12.
+    """
+    tolerance = {"max_deviation": 1e-12}
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     try:
         for _ in range(n_instances):
-            d = int(rng.choice(dims))
-            m = int(rng.choice(m_ideals))
+            d = int(rng.choice((2, 3, 4)))
+            m = int(rng.choice((2, 3, 4)))
             family = random_kraus_family(rng, d, m)
             step = MeasurementStep(family, ErrorModel.identity(m))
             rho = random_density_operator(rng, d)
@@ -171,9 +230,9 @@ def ideal_reduction_suite(
         return CheckResult("ideal_reduction", False, error=str(err))
     return CheckResult(
         name="ideal_reduction",
-        passed=max_dev <= tol,
+        passed=max_dev <= tolerance["max_deviation"],
         measured={"n_instances": n_instances, "max_deviation": max_dev},
-        tolerance={"max_deviation": tol},
+        tolerance=tolerance,
     )
 
 
@@ -183,26 +242,24 @@ def _basis_projectors(d: int) -> np.ndarray:
 
 
 def exact_submartingale_suite(
-    n_instances: int = 1000,
-    max_dim: int = 4,
-    seed: int = 20240003,
-    slack_tol: float = 1e-9,
-    rank_deficient_fraction: float = 0.25,
+    n_instances: int = 1000, seed: int = 20240003
 ) -> CheckResult:
     """Zero one-step violations over random pairs, including degenerate ones.
 
-    A slice of the instances uses basis-projector families with
-    rank-deficient mismatched states aligned to kill an outcome's trace,
-    which forces the shrinking-epsilon branch to run.
+    Dimensions 2-4. The first quarter of the instances uses basis-projector
+    families with rank-deficient mismatched states aligned to kill an
+    outcome's trace, which forces the shrinking-epsilon branch to run. Gate:
+    no slack below -1e-9, and at least one regularized update.
     """
+    tolerance = {"slack": 1e-9}
     rng = np.random.default_rng(seed)
     violations = 0
     min_slack = np.inf
     n_regularized = 0
     try:
         for i in range(n_instances):
-            d = int(rng.integers(2, max_dim + 1))
-            degenerate = i < int(n_instances * rank_deficient_fraction)
+            d = int(rng.integers(2, 5))
+            degenerate = i < n_instances // 4
             if degenerate:
                 # Projective measurement with a state missing one basis
                 # direction: outcome on the missing direction has zero trace.
@@ -230,7 +287,7 @@ def exact_submartingale_suite(
                 )
             try:
                 check = exact_one_step_submartingale(
-                    rho_hat, rho_e, step, slack_tol=slack_tol
+                    rho_hat, rho_e, step, slack_tol=tolerance["slack"]
                 )
                 n_regularized += len(check.regularized_outcomes)
                 min_slack = min(min_slack, check.slack)
@@ -248,7 +305,7 @@ def exact_submartingale_suite(
             "min_slack": float(min_slack),
             "regularized_updates": n_regularized,
         },
-        tolerance={"slack": slack_tol},
+        tolerance=tolerance,
     )
 
 
@@ -266,28 +323,19 @@ def _random_partition(
     ]
 
 
-def _random_partition_of(
-    rng: np.random.Generator, indices: Sequence[int]
-) -> List[List[int]]:
-    shape = _random_partition(rng, len(indices))
-    return [[indices[i] for i in part] for part in shape]
-
-
 def inequality_suite(
-    n_instances: int = 1000,
-    max_dim: int = 4,
-    max_ops: int = 8,
-    seed: int = 20240004,
-    slack_tol: float = 1e-9,
+    n_instances: int = 1000, seed: int = 20240004
 ) -> CheckResult:
     """Partitioned-channel fidelity inequality on random exact families.
 
-    Includes single-part partitions (channel monotonicity of fidelity) and
-    deliberately aligned rank-deficient sigma instances (basis-projector
-    family, sigma with one basis direction zeroed out, the matching
-    projector isolated in its own part) so the degenerate sigma branch is
-    exercised, not just reachable.
+    Dimensions 2-4, 1-8 operators. Includes single-part partitions (channel
+    monotonicity of fidelity) and deliberately aligned rank-deficient sigma
+    instances (basis-projector family, sigma with one basis direction zeroed
+    out, the matching projector isolated in its own part) so the degenerate
+    sigma branch is exercised, not just reachable. Gate: no slack below
+    -1e-9, with both kinds of instance hit.
     """
+    tolerance = {"slack": 1e-9}
     rng = np.random.default_rng(seed)
     min_slack = np.inf
     violations = 0
@@ -295,20 +343,23 @@ def inequality_suite(
     n_single_part = 0
     try:
         for i in range(n_instances):
-            d = int(rng.integers(2, max_dim + 1))
+            d = int(rng.integers(2, 5))
             if i % 7 == 3:
                 # Aligned degenerate instance.
                 ops = _basis_projectors(d)
                 dead = int(rng.integers(d))
                 rest = [j for j in range(d) if j != dead]
-                partition = [[dead]] + _random_partition_of(rng, rest)
+                partition = [[dead]] + [
+                    [rest[i] for i in part]
+                    for part in _random_partition(rng, len(rest))
+                ]
                 rho = random_density_operator(rng, d)
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 g[dead, :] = 0.0
                 mat = g @ g.conj().T
                 sigma = DensityOperator(mat / np.trace(mat).real)
             else:
-                s = int(rng.integers(1, max_ops + 1))
+                s = int(rng.integers(1, 9))
                 ops = random_kraus_family(rng, d, s).operators
                 if i % 10 == 0:
                     partition = [list(range(s))]
@@ -325,7 +376,7 @@ def inequality_suite(
             check = check_fidelity_inequality(ops, partition, rho, sigma)
             n_degenerate += len(check.regularized_outcomes)
             min_slack = min(min_slack, check.slack)
-            if check.slack < -slack_tol:
+            if check.slack < -tolerance["slack"]:
                 violations += 1
     except QFilterError as err:
         return CheckResult("fidelity_inequality", False, error=str(err))
@@ -339,7 +390,7 @@ def inequality_suite(
             "single_part_instances": n_single_part,
             "degenerate_parts_hit": n_degenerate,
         },
-        tolerance={"slack": slack_tol},
+        tolerance=tolerance,
     )
 
 
@@ -360,20 +411,22 @@ def _random_photonbox_params(rng: np.random.Generator) -> PhotonBoxParams:
 
 
 def photonbox_structure_suite(
-    n_param_draws: int = 100,
-    seed: int = 20240005,
-    column_tol: float = 1e-12,
-    atom_tol: float = 1e-12,
-    ratio_window: Tuple[float, float] = (3.5, 4.5),
-    unitarity_tol: float = 1e-6,
-    mean_photon_tol: float = 1e-6,
+    n_param_draws: int = 100, seed: int = 20240005
 ) -> CheckResult:
     """Structural checks of the cavity probe model.
 
-    Random parameter draws: detection columns sum to 1, atom sector exactly
-    complete. Fixed defaults: second-order scaling of the cavity deficit,
-    displacement unitarity, and the coherent-state mean photon number.
+    Random parameter draws: detection columns sum to 1 and the atom sector
+    is complete, each within 1e-12. Fixed defaults: halving the decoherence
+    strength divides the cavity deficit by 3.5-4.5 (second order), and
+    D(0.5) is unitary and gives mean photon number 0.25, each within 1e-6.
     """
+    tolerance = {
+        "column_sum": 1e-12,
+        "atom_residual": 1e-12,
+        "ratio_window": [3.5, 4.5],
+        "unitarity": 1e-6,
+        "mean_photon": 1e-6,
+    }
     rng = np.random.default_rng(seed)
     max_column_dev = 0.0
     max_atom_residual = 0.0
@@ -404,12 +457,13 @@ def photonbox_structure_suite(
         mean_n = float((coherent.conj() @ n_op @ coherent).real)
     except QFilterError as err:
         return CheckResult("photonbox_structure", False, error=str(err))
+    low, high = tolerance["ratio_window"]
     passed = (
-        max_column_dev <= column_tol
-        and max_atom_residual <= atom_tol
-        and ratio_window[0] <= ratio <= ratio_window[1]
-        and unitarity_dev <= unitarity_tol
-        and abs(mean_n - 0.25) <= mean_photon_tol
+        max_column_dev <= tolerance["column_sum"]
+        and max_atom_residual <= tolerance["atom_residual"]
+        and low <= ratio <= high
+        and unitarity_dev <= tolerance["unitarity"]
+        and abs(mean_n - 0.25) <= tolerance["mean_photon"]
     )
     return CheckResult(
         name="photonbox_structure",
@@ -423,13 +477,7 @@ def photonbox_structure_suite(
             "displacement_unitarity_deviation": unitarity_dev,
             "coherent_mean_photon_number": mean_n,
         },
-        tolerance={
-            "column_sum": column_tol,
-            "atom_residual": atom_tol,
-            "ratio_window": list(ratio_window),
-            "unitarity": unitarity_tol,
-            "mean_photon": mean_photon_tol,
-        },
+        tolerance=tolerance,
     )
 
 
@@ -445,16 +493,15 @@ def _two_level_step() -> MeasurementStep:
 
 
 def predictive_consistency_suite(
-    n_traj: int = 10_000,
-    seed: int = 20240006,
-    sigma_bound: float = 3.0,
+    n_traj: int = 10_000, seed: int = 20240006
 ) -> CheckResult:
     """First detector outcome frequencies vs. the predicted distribution.
 
     On the two-level model with the filter at the true state, empirical
-    outcome frequencies must match the predicted probabilities within
-    ``sigma_bound`` binomial standard deviations.
+    outcome frequencies must match the predicted probabilities within 3
+    binomial standard deviations.
     """
+    tolerance = {"sigma_bound": 3.0}
     step = _two_level_step()
     rho = DensityOperator(np.diag([0.3, 0.7]))
     predicted = outcome_probabilities(FilterState(estimate=rho), step)
@@ -473,7 +520,7 @@ def predictive_consistency_suite(
     freqs = counts / n_traj
     sigmas = np.sqrt(predicted * (1.0 - predicted) / n_traj)
     deviations = np.abs(freqs - predicted)
-    passed = bool(np.all(deviations <= sigma_bound * sigmas + 1e-15))
+    passed = bool(np.all(deviations <= tolerance["sigma_bound"] * sigmas + 1e-15))
     return CheckResult(
         name="predictive_consistency",
         passed=passed,
@@ -485,7 +532,7 @@ def predictive_consistency_suite(
                 deviations / np.where(sigmas > 0, sigmas, np.inf)
             ).tolist(),
         },
-        tolerance={"sigma_bound": sigma_bound},
+        tolerance=tolerance,
     )
 
 

@@ -36,15 +36,7 @@ def _report(number: int, name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
-    result = oracle_equivalence_suite(
-        n_instances=200,
-        dims=(2, 3, 4),
-        m_ideals=(2, 3),
-        m_reals=(2, 3),
-        max_k=5,
-        state_tol=1e-9,
-        evidence_tol=1e-10,
-    )
+    result = oracle_equivalence_suite(n_instances=200)
     elapsed = time.perf_counter() - started
     detail = (
         f"max state dev {result.measured['max_state_deviation']:.2e} <= 1e-9, "
@@ -53,29 +45,30 @@ def test_criterion_1_oracle_equivalence():
     )
     passed = result.passed and elapsed < 30.0
     _report(1, "oracle equivalence", passed, detail)
+    assert result.tolerance == {"state": 1e-9, "evidence": 1e-10}
     assert result.error is None
     assert result.passed, result.measured
     assert elapsed < 30.0
 
 
 def test_criterion_2_ideal_limit_reduction():
-    result = ideal_reduction_suite(n_instances=100, tol=1e-12)
+    result = ideal_reduction_suite(n_instances=100)
     detail = f"max deviation {result.measured['max_deviation']:.2e} <= 1e-12"
     _report(2, "ideal-limit reduction", result.passed, detail)
+    assert result.tolerance == {"max_deviation": 1e-12}
     assert result.error is None
     assert result.passed, result.measured
 
 
 def test_criterion_3_exact_one_step_submartingale():
-    result = exact_submartingale_suite(
-        n_instances=1000, max_dim=4, slack_tol=1e-9
-    )
+    result = exact_submartingale_suite(n_instances=1000)
     detail = (
         f"{result.measured['violations']} violations beyond 1e-9 in 1000 "
         f"instances, min slack {result.measured['min_slack']:.2e}, "
         f"{result.measured['regularized_updates']} regularized updates"
     )
     _report(3, "exact one-step submartingale", result.passed, detail)
+    assert result.tolerance == {"slack": 1e-9}
     assert result.error is None
     assert result.measured["violations"] == 0
     assert result.measured["regularized_updates"] > 0
@@ -83,7 +76,7 @@ def test_criterion_3_exact_one_step_submartingale():
 
 
 def test_criterion_4_fidelity_inequality():
-    result = inequality_suite(n_instances=1000, max_dim=4, max_ops=8, slack_tol=1e-9)
+    result = inequality_suite(n_instances=1000)
     detail = (
         f"min slack {result.measured['min_slack']:.2e} >= -1e-9, "
         f"{result.measured['single_part_instances']} single-part "
@@ -91,6 +84,7 @@ def test_criterion_4_fidelity_inequality():
         f"{result.measured['degenerate_parts_hit']} degenerate parts"
     )
     _report(4, "fidelity inequality", result.passed, detail)
+    assert result.tolerance == {"slack": 1e-9}
     assert result.error is None
     assert result.measured["violations"] == 0
     assert result.measured["single_part_instances"] > 0
@@ -151,12 +145,19 @@ def test_criterion_6_photonbox_structure():
         f"<n> = {m['coherent_mean_photon_number']:.8f} (target 0.25 +- 1e-6)"
     )
     _report(6, "photon-box structure", result.passed, detail)
+    assert result.tolerance == {
+        "column_sum": 1e-12,
+        "atom_residual": 1e-12,
+        "ratio_window": [3.5, 4.5],
+        "unitarity": 1e-6,
+        "mean_photon": 1e-6,
+    }
     assert result.error is None
     assert result.passed, result.measured
 
 
 def test_criterion_7_predictive_consistency():
-    result = predictive_consistency_suite(n_traj=10_000, sigma_bound=3.0)
+    result = predictive_consistency_suite(n_traj=10_000)
     m = result.measured
     detail = (
         f"empirical {np.round(m['empirical'], 4).tolist()} vs predicted "
@@ -164,6 +165,7 @@ def test_criterion_7_predictive_consistency():
         f"({np.round(m['deviation_in_sigmas'], 2).tolist()} sigma)"
     )
     _report(7, "predictive consistency", result.passed, detail)
+    assert result.tolerance == {"sigma_bound": 3.0}
     assert result.error is None
     assert result.passed, result.measured
 
@@ -175,5 +177,6 @@ def test_criterion_8_determinism():
         "byte-identical"
     )
     _report(8, "determinism", result.passed, detail)
+    assert result.tolerance == {}
     assert result.error is None
     assert result.passed, result.measured

@@ -16,8 +16,8 @@ from qfilter.config import (
     resolve_states,
 )
 from qfilter.errors import ConfigError
-from qfilter import serialize
-from qfilter.stability import random_density_operator, random_kraus_family
+from qfilter import cli, serialize
+from qfilter.verify import random_density_operator, random_kraus_family
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -31,7 +31,8 @@ class TestSerializeRoundTrip:
 
     def test_density_round_trip(self, rng):
         rho = random_density_operator(rng, 4)
-        back = serialize.density_from_dict(serialize.density_to_dict(rho))
+        data = serialize.density_to_dict(rho)
+        back = DensityOperator(serialize.matrix_from_dict(data))
         assert np.array_equal(back.matrix, rho.matrix)
 
     def test_kraus_family_round_trip(self, rng):
@@ -43,7 +44,14 @@ class TestSerializeRoundTrip:
         assert back.completeness_tolerance == family.completeness_tolerance
 
     def test_step_round_trip(self, two_level_step):
-        back = serialize.step_from_dict(serialize.step_to_dict(two_level_step))
+        back = serialize.step_from_dict(
+            {
+                "kraus": serialize.kraus_family_to_dict(two_level_step.family),
+                "eta": serialize.error_model_to_dict(two_level_step.errors),
+                "label": two_level_step.label,
+            }
+        )
+        assert np.array_equal(back.family.operators, two_level_step.family.operators)
         assert np.array_equal(back.errors.eta, two_level_step.errors.eta)
         assert back.label == two_level_step.label
 
@@ -246,6 +254,32 @@ class TestCli:
         assert code == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["passed"]
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ({"oracel": {"n_instances": 3}}, "oracel"),
+            ({"oracle": {"state_tol": 1.0}}, "state_tol"),
+        ],
+    )
+    def test_bad_verify_block_is_a_config_error(
+        self, tmp_path, monkeypatch, caplog, block, key
+    ):
+        def no_suite_may_run(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "run_suites", no_suite_may_run)
+        raw = json.loads((CONFIGS / "verify_small.json").read_text())
+        raw["verify"] = block
+        path = tmp_path / "bad_verify.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert repr(key) in caplog.text
+        assert not (out / "report.json").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["filter"]) == 1  # missing required arguments

@@ -13,7 +13,7 @@ from qfilter.errors import (
     ValidationError,
 )
 from qfilter.kraus import PROB_FLOOR
-from qfilter.stability import random_density_operator
+from qfilter.verify import random_density_operator
 
 
 def random_hermitian_psd(rng, d, scale=1.0):

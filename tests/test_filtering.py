@@ -27,7 +27,7 @@ from qfilter import kraus, photonbox
 from qfilter.kraus import _workspace, raw_jump_probabilities, weighted_image
 from qfilter.simulate import _update_filters
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
-from qfilter.stability import (
+from qfilter.verify import (
     random_density_operator,
     random_error_model,
     random_measurement_step,

@@ -19,7 +19,7 @@ from qfilter.errors import (
 )
 from qfilter.kraus import weighted_image
 from qfilter.photonbox import PhotonBoxParams, composite_kraus
-from qfilter.stability import random_density_operator, random_kraus_family
+from qfilter.verify import random_density_operator, random_kraus_family
 
 
 def identity_family(d=2):

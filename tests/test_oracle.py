@@ -22,7 +22,7 @@ from qfilter.errors import (
     IndexOutOfRangeError,
     ZeroEvidenceError,
 )
-from qfilter.stability import random_density_operator, random_measurement_step
+from qfilter.verify import random_density_operator, random_measurement_step
 
 
 class TestDirectEstimate:

@@ -23,7 +23,7 @@ from qfilter import (
 from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.errors import ValidationError
 from qfilter import serialize
-from qfilter.stability import random_density_operator
+from qfilter.verify import random_density_operator
 
 
 def identity_step(d=2):

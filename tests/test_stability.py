@@ -25,14 +25,15 @@ from qfilter.errors import (
     SubmartingaleViolationError,
     ValidationError,
 )
-from qfilter.stability import (
+from qfilter.kraus import raw_jump_probabilities
+from qfilter.verify import (
+    _random_partition,
+    inequality_suite,
     random_density_operator,
     random_error_model,
     random_kraus_family,
     random_measurement_step,
 )
-from qfilter.kraus import raw_jump_probabilities
-from qfilter.verify import _random_partition, inequality_suite
 
 
 def serial_rhs(rho_hat, rho_e, step):
