@@ -82,10 +82,12 @@ def _add_common(p: argparse.ArgumentParser, *, config_required: bool = True):
     p.add_argument(
         "--config", required=config_required, help="path to the JSON experiment config"
     )
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument(
         "--out", default=None, help="output directory (default: config output.directory)"
     )
+
+
+def _add_tolerance(p: argparse.ArgumentParser):
     p.add_argument(
         "--tolerance",
         action="append",
@@ -108,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "filter", help="run the recursive filter over a recorded outcome file"
     )
     _add_common(p_filter)
+    _add_tolerance(p_filter)
     p_filter.add_argument(
         "--outcomes",
         required=True,
@@ -116,6 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo trajectory ensemble")
     _add_common(p_sim)
+    _add_tolerance(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     _add_common(p_verify)
@@ -146,13 +151,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _prepare(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         updates["seed"] = args.seed
     if args.out is not None:
         updates["output_directory"] = args.out
-    if args.tolerance:
+    if getattr(args, "tolerance", None):
         overrides = {}
         for item in args.tolerance:
             name, sep, value = item.partition("=")
@@ -294,14 +299,7 @@ def cmd_simulate(args) -> int:
             + "\n"
         )
         for record in records:
-            fh.write(
-                serialize.dumps(
-                    serialize.record_to_dict(
-                        record, include_states=config.store_states
-                    )
-                )
-                + "\n"
-            )
+            fh.write(serialize.dumps(serialize.record_to_dict(record)) + "\n")
     log.info("wrote %s", traj_path)
 
     failures = 0

@@ -8,6 +8,11 @@ One human-readable structured format covers both model families:
 Configs are schema-validated before any computation; every numeric payload
 uses the matrix/vector conventions from ``serialize``. Parsing depends only
 on the JSON content, so a config re-parsed after a JSON round trip is equal.
+
+The ``checks`` names and the ``verify`` block are validated by a schema
+fragment built from ``verify.ALL_SUITES`` and each suite's signature: an
+unknown check, suite or parameter, or a suite value that is not an integer
+in range, is a ConfigError before any suite runs.
 """
 
 from __future__ import annotations
@@ -195,6 +200,19 @@ _PHOTONBOX_MODEL_SCHEMA = {
     "additionalProperties": False,
 }
 
+
+def _suite_schema(suite) -> Dict:
+    """A suite's parameters: integers, ``seed`` >= 0 and every size >= 1."""
+    return {
+        "type": "object",
+        "properties": {
+            name: {"type": "integer", "minimum": 0 if name == "seed" else 1}
+            for name in inspect.signature(suite).parameters
+        },
+        "additionalProperties": False,
+    }
+
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "qfilter experiment configuration",
@@ -229,8 +247,17 @@ CONFIG_SCHEMA = {
         },
         "store_states": {"type": "boolean"},
         "record_predictions": {"type": "boolean"},
-        "checks": {"type": "array", "items": {"type": "string"}},
-        "verify": {"type": "object", "additionalProperties": {"type": "object"}},
+        "checks": {
+            "type": "array",
+            "items": {"enum": ["submartingale", *ALL_SUITES]},
+        },
+        "verify": {
+            "type": "object",
+            "properties": {
+                name: _suite_schema(suite) for name, suite in ALL_SUITES.items()
+            },
+            "additionalProperties": False,
+        },
         "tolerances": {
             "type": "object",
             "additionalProperties": {"type": "number"},
@@ -274,9 +301,6 @@ def parse_config(data: Dict) -> ExperimentConfig:
     if err is not None:
         path = "$" + "".join(f"[{p!r}]" for p in err.absolute_path)
         raise ConfigError(f"config invalid at {path}: {err.message}") from err
-    verify = dict(data.get("verify", {}))
-    _check_verify(verify)
-
     return ExperimentConfig(
         model=data["model"],
         initial_true=data["initial"]["true"],
@@ -290,29 +314,13 @@ def parse_config(data: Dict) -> ExperimentConfig:
         store_states=bool(data.get("store_states", False)),
         record_predictions=bool(data.get("record_predictions", False)),
         checks=tuple(str(c) for c in data.get("checks", [])),
-        verify=verify,
+        verify={  # jsonschema counts 3.0 as an integer
+            suite: {key: int(value) for key, value in params.items()}
+            for suite, params in data.get("verify", {}).items()
+        },
         tolerances=parse_tolerances(data.get("tolerances", {})),
         output_directory=str(data.get("output", {}).get("directory", "out")),
     )
-
-
-def _check_verify(block: Mapping[str, Mapping]) -> None:
-    """Every suite the ``verify`` block names exists and takes every
-    parameter it is given, before any suite runs."""
-    for suite, params in block.items():
-        if suite not in ALL_SUITES:
-            raise ConfigError(
-                f"unknown verify suite {suite!r}; expected one of "
-                f"{', '.join(ALL_SUITES)}"
-            )
-        # signature() reads through functools.wraps, so wrapped suites check too.
-        accepted = inspect.signature(ALL_SUITES[suite]).parameters
-        for name in params:
-            if name not in accepted:
-                raise ConfigError(
-                    f"unknown parameter {name!r} for verify suite {suite!r}; "
-                    f"expected one of {', '.join(accepted)}"
-                )
 
 
 def parse_tolerances(

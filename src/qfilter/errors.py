@@ -45,16 +45,10 @@ class TraceDeviationError(_ToleranceError, ValidationError):
     template = "trace deviates from 1 by {deviation:.3e} (tolerance {tolerance:.3e})"
 
 
-class NegativeEigenvalueError(ValidationError):
+class NegativeEigenvalueError(_ToleranceError, ValidationError):
     """Smallest eigenvalue is below the allowed negative tolerance."""
 
-    def __init__(self, min_eigenvalue: float, tolerance: float):
-        self.min_eigenvalue = float(min_eigenvalue)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"matrix has negative eigenvalue {min_eigenvalue:.3e} "
-            f"below -{tolerance:.3e}"
-        )
+    template = "matrix has negative eigenvalue {deviation:.3e} below -{tolerance:.3e}"
 
 
 class DimensionMismatchError(QFilterError, ValueError):

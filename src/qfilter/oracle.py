@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .density import DEFAULT_TOLERANCES, DensityOperator, Tolerances
+from .density import DensityOperator
 from .errors import (
     CombinatorialExplosionError,
     DimensionMismatchError,
@@ -127,8 +127,6 @@ def direct_estimate(
     initial: DensityOperator,
     steps: Sequence[MeasurementStep],
     outcomes: Sequence[int],
-    *,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityOperator:
     """Non-recursive optimal estimate by exhaustive jump-sequence enumeration.
 
@@ -144,7 +142,7 @@ def direct_estimate(
         raise ZeroEvidenceError(
             f"outcome record has probability {evidence:.3e} from this initial state"
         )
-    return DensityOperator(weighted_sum / evidence, tolerances)
+    return DensityOperator(weighted_sum / evidence)
 
 
 def sequence_posterior(

@@ -233,24 +233,19 @@ def atom_completeness_residual(params: PhotonBoxParams) -> float:
     return float(np.abs(total - np.eye(params.dim)).max())
 
 
-def cavity_completeness_deficit(
-    params: PhotonBoxParams, *, include_boundary: bool = False
-) -> float:
-    """Max-norm of the cavity-sector completeness defect.
+def cavity_completeness_deficit(params: PhotonBoxParams) -> float:
+    """Max-norm of the cavity-sector completeness defect below the boundary.
 
-    By default the last row/column is excluded: the creation operator
-    annihilates |n_max> under truncation, which plants an
+    The last row/column is excluded: the creation operator annihilates
+    |n_max> under truncation, which plants an
     O(decoherence_strength * thermal_occupation * n_max) artifact in the
     (n_max, n_max) corner. Below the boundary every defect entry is exactly
     quadratic in the decoherence strength, which is the physical statement
-    being checked. Pass ``include_boundary=True`` for the raw full-matrix
-    defect (the number that matters for probability accounting).
+    being checked.
     """
     ops = l_operators(params)
     total = sum(ops[k].conj().T @ ops[k] for k in CAVITY_JUMPS)
-    defect = np.abs(total - np.eye(params.dim))
-    if not include_boundary:
-        defect = defect[: params.n_max, : params.n_max]
+    defect = np.abs(total - np.eye(params.dim))[: params.n_max, : params.n_max]
     return float(defect.max())
 
 

@@ -118,8 +118,9 @@ def _pair_key(pair: Tuple[str, str]) -> str:
     return f"{pair[0]}|{pair[1]}"
 
 
-def record_to_dict(record: TrajectoryRecord, *, include_states: bool = False) -> Dict:
-    """JSON form of one trajectory (steps are carried by the stream header)."""
+def record_to_dict(record: TrajectoryRecord) -> Dict:
+    """JSON form of one trajectory (steps are carried by the stream header);
+    the states are written when the record holds them."""
     out = {
         "ideal_outcomes": record.ideal_outcomes.tolist(),
         "real_outcomes": record.real_outcomes.tolist(),
@@ -136,7 +137,7 @@ def record_to_dict(record: TrajectoryRecord, *, include_states: bool = False) ->
             name: rows.tolist()
             for name, rows in record.predicted_probabilities.items()
         }
-    if include_states and record.true_states is not None:
+    if record.true_states is not None:
         out["true_initial"] = density_to_dict(record.true_initial)
         out["filter_initials"] = {
             name: density_to_dict(rho)

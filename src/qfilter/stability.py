@@ -170,14 +170,14 @@ def ensemble_submartingale(
     pair: Optional[Tuple[str, str]] = None,
     *,
     exact_checks: int = 0,
-    exact_check_seed: int = 0,
 ) -> SubmartingaleReport:
     """Aggregate the fidelity increments of an ensemble into a report.
 
     Requires at least 100 trajectories. ``pair`` defaults to the single
     recorded fidelity pair when unambiguous. ``exact_checks`` > 0 samples
-    that many (trajectory, step) points from records that stored states and
-    re-verifies the exact one-step inequality there, at slack 1e-9.
+    that many (trajectory, step) points from records that stored states,
+    with a generator seeded with 0, and re-verifies the exact one-step
+    inequality there, at slack 1e-9.
     """
     if len(records) < 100:
         raise EnsembleTooSmallError(
@@ -219,7 +219,7 @@ def ensemble_submartingale(
             and pair[1] in r.filter_states
         ]
         if eligible:
-            rng = np.random.default_rng(exact_check_seed)
+            rng = np.random.default_rng(0)
             for _ in range(exact_checks):
                 r = eligible[int(rng.integers(len(eligible)))]
                 k = int(rng.integers(r.horizon))  # 0-based: state after k updates

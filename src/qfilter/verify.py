@@ -1,9 +1,11 @@
 """Named verification suites over seeded random instances.
 
-Each suite returns a CheckResult with measured quantities and a pass flag;
-failures never raise out of the suite, so a verification run always
-produces a complete machine-readable report. The CLI's ``verify``
-subcommand and the acceptance tests drive the same functions.
+Each suite returns a CheckResult with measured quantities and a pass flag.
+``ALL_SUITES`` is the one registry of suite names: ``run_suites`` records
+each result under its key, and turns an error raised by a suite into a
+failed result, so a verification run always produces a complete
+machine-readable report. The CLI's ``verify`` subcommand and the acceptance
+tests drive the same functions.
 
 A suite's only parameters are its size, its ``seed`` and, for the
 determinism suite, the ``horizon``. Every gate is fixed and reported in the
@@ -61,11 +63,11 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CheckResult:
-    """Outcome of one named verification suite."""
+    """Outcome of one verification suite; ``run_suites`` sets its ``name``."""
 
-    name: str
+    name: str = ""
     passed: bool
     measured: Dict = field(default_factory=dict)
     tolerance: Dict = field(default_factory=dict)
@@ -169,25 +171,21 @@ def oracle_equivalence_suite(
     rng = np.random.default_rng(seed)
     max_state_dev = 0.0
     max_evidence_dev = 0.0
-    try:
-        for _ in range(n_instances):
-            initial, steps, outcomes = _random_instance(rng)
-            states = run_filter(initial, steps, outcomes)
-            exact = direct_estimate(initial, steps, outcomes)
-            dev = float(
-                np.abs(states[-1].estimate.matrix - exact.matrix).max()
-            )
-            max_state_dev = max(max_state_dev, dev)
+    for _ in range(n_instances):
+        initial, steps, outcomes = _random_instance(rng)
+        states = run_filter(initial, steps, outcomes)
+        exact = direct_estimate(initial, steps, outcomes)
+        dev = float(
+            np.abs(states[-1].estimate.matrix - exact.matrix).max()
+        )
+        max_state_dev = max(max_state_dev, dev)
 
-            telescoped = 1.0
-            for state, step, p in zip(states[:-1], steps, outcomes):
-                telescoped *= float(outcome_probabilities(state, step)[p])
-            evidence = marginal_evidence(initial, steps, outcomes)
-            max_evidence_dev = max(max_evidence_dev, abs(evidence - telescoped))
-    except QFilterError as err:
-        return CheckResult("oracle_equivalence", False, error=str(err))
+        telescoped = 1.0
+        for state, step, p in zip(states[:-1], steps, outcomes):
+            telescoped *= float(outcome_probabilities(state, step)[p])
+        evidence = marginal_evidence(initial, steps, outcomes)
+        max_evidence_dev = max(max_evidence_dev, abs(evidence - telescoped))
     return CheckResult(
-        name="oracle_equivalence",
         passed=(
             max_state_dev <= tolerance["state"]
             and max_evidence_dev <= tolerance["evidence"]
@@ -212,24 +210,20 @@ def ideal_reduction_suite(
     tolerance = {"max_deviation": 1e-12}
     rng = np.random.default_rng(seed)
     max_dev = 0.0
-    try:
-        for _ in range(n_instances):
-            d = int(rng.choice((2, 3, 4)))
-            m = int(rng.choice((2, 3, 4)))
-            family = random_kraus_family(rng, d, m)
-            step = MeasurementStep(family, ErrorModel.identity(m))
-            rho = random_density_operator(rng, d)
-            q = int(rng.integers(m))
-            via_filter = filter_update(FilterState(estimate=rho), step, q)
-            via_jump = apply_jump(family, q, rho)
-            dev = float(
-                np.abs(via_filter.estimate.matrix - via_jump.matrix).max()
-            )
-            max_dev = max(max_dev, dev)
-    except QFilterError as err:
-        return CheckResult("ideal_reduction", False, error=str(err))
+    for _ in range(n_instances):
+        d = int(rng.choice((2, 3, 4)))
+        m = int(rng.choice((2, 3, 4)))
+        family = random_kraus_family(rng, d, m)
+        step = MeasurementStep(family, ErrorModel.identity(m))
+        rho = random_density_operator(rng, d)
+        q = int(rng.integers(m))
+        via_filter = filter_update(FilterState(estimate=rho), step, q)
+        via_jump = apply_jump(family, q, rho)
+        dev = float(
+            np.abs(via_filter.estimate.matrix - via_jump.matrix).max()
+        )
+        max_dev = max(max_dev, dev)
     return CheckResult(
-        name="ideal_reduction",
         passed=max_dev <= tolerance["max_deviation"],
         measured={"n_instances": n_instances, "max_deviation": max_dev},
         tolerance=tolerance,
@@ -256,48 +250,44 @@ def exact_submartingale_suite(
     violations = 0
     min_slack = np.inf
     n_regularized = 0
-    try:
-        for i in range(n_instances):
-            d = int(rng.integers(2, 5))
-            degenerate = i < n_instances // 4
-            if degenerate:
-                # Projective measurement with a state missing one basis
-                # direction: outcome on the missing direction has zero trace.
-                family = KrausFamily(_basis_projectors(d), completeness_tolerance=1e-12)
-                step = MeasurementStep(family, ErrorModel.identity(d))
-                rho_hat = random_density_operator(rng, d)
-                rank = int(rng.integers(1, d))
-                g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal(
-                    (d, rank)
-                )
-                g[int(rng.integers(d)), :] = 0.0  # kill one basis direction
-                mat = g @ g.conj().T
-                tr = float(np.trace(mat).real)
-                if tr <= 0.0:
-                    continue
-                rho_e = DensityOperator(mat / tr)
-            else:
-                m_ideal = int(rng.integers(2, 5))
-                m_real = int(rng.integers(2, 5))
-                step = random_measurement_step(rng, d, m_ideal, m_real)
-                rho_hat = random_density_operator(rng, d)
-                low_rank = rng.random() < 0.3
-                rho_e = random_density_operator(
-                    rng, d, rank=int(rng.integers(1, d)) if low_rank else None
-                )
-            try:
-                check = exact_one_step_submartingale(
-                    rho_hat, rho_e, step, slack_tol=tolerance["slack"]
-                )
-                n_regularized += len(check.regularized_outcomes)
-                min_slack = min(min_slack, check.slack)
-            except SubmartingaleViolationError as err:
-                violations += 1
-                min_slack = min(min_slack, err.rhs - err.lhs)
-    except QFilterError as err:
-        return CheckResult("exact_submartingale", False, error=str(err))
+    for i in range(n_instances):
+        d = int(rng.integers(2, 5))
+        degenerate = i < n_instances // 4
+        if degenerate:
+            # Projective measurement with a state missing one basis
+            # direction: outcome on the missing direction has zero trace.
+            family = KrausFamily(_basis_projectors(d), completeness_tolerance=1e-12)
+            step = MeasurementStep(family, ErrorModel.identity(d))
+            rho_hat = random_density_operator(rng, d)
+            rank = int(rng.integers(1, d))
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal(
+                (d, rank)
+            )
+            g[int(rng.integers(d)), :] = 0.0  # kill one basis direction
+            mat = g @ g.conj().T
+            tr = float(np.trace(mat).real)
+            if tr <= 0.0:
+                continue
+            rho_e = DensityOperator(mat / tr)
+        else:
+            m_ideal = int(rng.integers(2, 5))
+            m_real = int(rng.integers(2, 5))
+            step = random_measurement_step(rng, d, m_ideal, m_real)
+            rho_hat = random_density_operator(rng, d)
+            low_rank = rng.random() < 0.3
+            rho_e = random_density_operator(
+                rng, d, rank=int(rng.integers(1, d)) if low_rank else None
+            )
+        try:
+            check = exact_one_step_submartingale(
+                rho_hat, rho_e, step, slack_tol=tolerance["slack"]
+            )
+            n_regularized += len(check.regularized_outcomes)
+            min_slack = min(min_slack, check.slack)
+        except SubmartingaleViolationError as err:
+            violations += 1
+            min_slack = min(min_slack, err.rhs - err.lhs)
     return CheckResult(
-        name="exact_submartingale",
         passed=violations == 0 and n_regularized > 0,
         measured={
             "n_instances": n_instances,
@@ -341,47 +331,43 @@ def inequality_suite(
     violations = 0
     n_degenerate = 0
     n_single_part = 0
-    try:
-        for i in range(n_instances):
-            d = int(rng.integers(2, 5))
-            if i % 7 == 3:
-                # Aligned degenerate instance.
-                ops = _basis_projectors(d)
-                dead = int(rng.integers(d))
-                rest = [j for j in range(d) if j != dead]
-                partition = [[dead]] + [
-                    [rest[i] for i in part]
-                    for part in _random_partition(rng, len(rest))
-                ]
-                rho = random_density_operator(rng, d)
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                g[dead, :] = 0.0
-                mat = g @ g.conj().T
-                sigma = DensityOperator(mat / np.trace(mat).real)
+    for i in range(n_instances):
+        d = int(rng.integers(2, 5))
+        if i % 7 == 3:
+            # Aligned degenerate instance.
+            ops = _basis_projectors(d)
+            dead = int(rng.integers(d))
+            rest = [j for j in range(d) if j != dead]
+            partition = [[dead]] + [
+                [rest[i] for i in part]
+                for part in _random_partition(rng, len(rest))
+            ]
+            rho = random_density_operator(rng, d)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            g[dead, :] = 0.0
+            mat = g @ g.conj().T
+            sigma = DensityOperator(mat / np.trace(mat).real)
+        else:
+            s = int(rng.integers(1, 9))
+            ops = random_kraus_family(rng, d, s).operators
+            if i % 10 == 0:
+                partition = [list(range(s))]
             else:
-                s = int(rng.integers(1, 9))
-                ops = random_kraus_family(rng, d, s).operators
-                if i % 10 == 0:
-                    partition = [list(range(s))]
-                else:
-                    partition = _random_partition(rng, s)
-                rho = random_density_operator(rng, d)
-                if rng.random() < 0.25 and d > 1:
-                    sigma = random_density_operator(
-                        rng, d, rank=int(rng.integers(1, d))
-                    )
-                else:
-                    sigma = random_density_operator(rng, d)
-            n_single_part += len(partition) == 1
-            check = check_fidelity_inequality(ops, partition, rho, sigma)
-            n_degenerate += len(check.regularized_outcomes)
-            min_slack = min(min_slack, check.slack)
-            if check.slack < -tolerance["slack"]:
-                violations += 1
-    except QFilterError as err:
-        return CheckResult("fidelity_inequality", False, error=str(err))
+                partition = _random_partition(rng, s)
+            rho = random_density_operator(rng, d)
+            if rng.random() < 0.25 and d > 1:
+                sigma = random_density_operator(
+                    rng, d, rank=int(rng.integers(1, d))
+                )
+            else:
+                sigma = random_density_operator(rng, d)
+        n_single_part += len(partition) == 1
+        check = check_fidelity_inequality(ops, partition, rho, sigma)
+        n_degenerate += len(check.regularized_outcomes)
+        min_slack = min(min_slack, check.slack)
+        if check.slack < -tolerance["slack"]:
+            violations += 1
     return CheckResult(
-        name="fidelity_inequality",
         passed=violations == 0 and n_single_part > 0 and n_degenerate > 0,
         measured={
             "n_instances": n_instances,
@@ -430,33 +416,30 @@ def photonbox_structure_suite(
     rng = np.random.default_rng(seed)
     max_column_dev = 0.0
     max_atom_residual = 0.0
-    try:
-        for _ in range(n_param_draws):
-            params = _random_photonbox_params(rng)
-            eta = detection_error_model(params).eta
-            max_column_dev = max(
-                max_column_dev, float(np.abs(eta.sum(axis=0) - 1.0).max())
-            )
-            max_atom_residual = max(
-                max_atom_residual, atom_completeness_residual(params)
-            )
-
-        defaults = PhotonBoxParams()
-        halved = dataclasses.replace(
-            defaults, decoherence_strength=defaults.decoherence_strength / 2
+    for _ in range(n_param_draws):
+        params = _random_photonbox_params(rng)
+        eta = detection_error_model(params).eta
+        max_column_dev = max(
+            max_column_dev, float(np.abs(eta.sum(axis=0) - 1.0).max())
         )
-        deficit = cavity_completeness_deficit(defaults)
-        ratio = deficit / cavity_completeness_deficit(halved)
-
-        d_op = displacement(0.5, defaults.n_max)
-        unitarity_dev = float(
-            np.abs(d_op.conj().T @ d_op - np.eye(defaults.dim)).max()
+        max_atom_residual = max(
+            max_atom_residual, atom_completeness_residual(params)
         )
-        _, _, n_op = fock_operators(defaults.n_max)
-        coherent = d_op[:, 0]
-        mean_n = float((coherent.conj() @ n_op @ coherent).real)
-    except QFilterError as err:
-        return CheckResult("photonbox_structure", False, error=str(err))
+
+    defaults = PhotonBoxParams()
+    halved = dataclasses.replace(
+        defaults, decoherence_strength=defaults.decoherence_strength / 2
+    )
+    deficit = cavity_completeness_deficit(defaults)
+    ratio = deficit / cavity_completeness_deficit(halved)
+
+    d_op = displacement(0.5, defaults.n_max)
+    unitarity_dev = float(
+        np.abs(d_op.conj().T @ d_op - np.eye(defaults.dim)).max()
+    )
+    _, _, n_op = fock_operators(defaults.n_max)
+    coherent = d_op[:, 0]
+    mean_n = float((coherent.conj() @ n_op @ coherent).real)
     low, high = tolerance["ratio_window"]
     passed = (
         max_column_dev <= tolerance["column_sum"]
@@ -466,7 +449,6 @@ def photonbox_structure_suite(
         and abs(mean_n - 0.25) <= tolerance["mean_photon"]
     )
     return CheckResult(
-        name="photonbox_structure",
         passed=passed,
         measured={
             "n_param_draws": n_param_draws,
@@ -511,10 +493,7 @@ def predictive_consistency_suite(
         steps=step,
         horizon=1,
     )
-    try:
-        records = run_ensemble(config, n_traj, base_seed=seed)
-    except QFilterError as err:
-        return CheckResult("predictive_consistency", False, error=str(err))
+    records = run_ensemble(config, n_traj, base_seed=seed)
     firsts = np.array([r.real_outcomes[0] for r in records])
     counts = np.bincount(firsts, minlength=step.m_real)
     freqs = counts / n_traj
@@ -522,7 +501,6 @@ def predictive_consistency_suite(
     deviations = np.abs(freqs - predicted)
     passed = bool(np.all(deviations <= tolerance["sigma_bound"] * sigmas + 1e-15))
     return CheckResult(
-        name="predictive_consistency",
         passed=passed,
         measured={
             "n_traj": n_traj,
@@ -551,18 +529,14 @@ def determinism_suite(
         horizon=horizon,
         fidelity_pairs=(("optimal", "alt"),),
     )
-    try:
-        blobs = []
-        for _ in range(2):
-            records = run_ensemble(config, n_traj, base_seed=seed)
-            lines = [
-                serialize.dumps(serialize.record_to_dict(r)) for r in records
-            ]
-            blobs.append("\n".join(lines).encode())
-    except QFilterError as err:
-        return CheckResult("determinism", False, error=str(err))
+    blobs = []
+    for _ in range(2):
+        records = run_ensemble(config, n_traj, base_seed=seed)
+        lines = [
+            serialize.dumps(serialize.record_to_dict(r)) for r in records
+        ]
+        blobs.append("\n".join(lines).encode())
     return CheckResult(
-        name="determinism",
         passed=blobs[0] == blobs[1],
         measured={"n_traj": n_traj, "bytes": len(blobs[0])},
     )
@@ -583,18 +557,24 @@ def run_suites(
     names: Sequence[str],
     suite_params: Optional[Dict[str, Dict]] = None,
 ) -> List[CheckResult]:
-    """Run named suites with per-suite keyword overrides; never aborts early."""
+    """Run named suites with per-suite keyword overrides; never aborts early.
+
+    Each result is named by its ``ALL_SUITES`` key. A suite that raises
+    gives a failed result carrying the error: ``str`` of a QFilterError,
+    ``repr`` of anything else.
+    """
     suite_params = suite_params or {}
     results = []
     for name in names:
         if name not in ALL_SUITES:
-            results.append(
-                CheckResult(name, False, error=f"unknown check {name!r}")
-            )
-            continue
-        kwargs = dict(suite_params.get(name, {}))
-        try:
-            results.append(ALL_SUITES[name](**kwargs))
-        except Exception as err:  # a crashing suite must not abort the report
-            results.append(CheckResult(name, False, error=repr(err)))
+            result = CheckResult(passed=False, error=f"unknown check {name!r}")
+        else:
+            try:
+                result = ALL_SUITES[name](**suite_params.get(name, {}))
+            except QFilterError as err:
+                result = CheckResult(passed=False, error=str(err))
+            except Exception as err:  # a crashing suite must not abort the report
+                result = CheckResult(passed=False, error=repr(err))
+        result.name = name
+        results.append(result)
     return results

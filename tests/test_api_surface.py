@@ -13,6 +13,21 @@ import qfilter
 MODULES = ["qfilter"] + [
     f"qfilter.{info.name}" for info in pkgutil.iter_modules(qfilter.__path__)
 ]
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load_benchmark_module(name):
+    """Import ``benchmarks/<name>.py`` by path, without putting it on sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"benchmark_{name}", BENCHMARKS / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,14 +50,7 @@ def test_star_import(name):
 def test_benchmark_bindings_resolve():
     # The benchmark wraps every (module, function) in TARGETS and reads these
     # caller bindings; a removal must fail here, not in a traced benchmark run.
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracing  # dataclasses resolve annotations here
-    try:
-        spec.loader.exec_module(tracing)
-    finally:
-        del sys.modules[spec.name]
+    tracing = _load_benchmark_module("tracing")
     missing = [
         f"{module}.{function}"
         for module, function in tracing.TARGETS
@@ -55,3 +63,13 @@ def test_benchmark_bindings_resolve():
 
     assert simulate.filter_update is filtering.filter_update
     assert filtering.weighted_image is kraus.weighted_image
+
+
+@pytest.mark.parametrize("workload", ["ensemble", "feedback", "verify"])
+def test_benchmark_configs_parse(workload, tmp_path):
+    # The benchmark writes these configs; a tighter schema must fail here,
+    # not in a benchmark run.
+    from qfilter.config import parse_config
+
+    inputs = _load_benchmark_module("inputs")
+    parse_config(inputs.config_for(workload, 0, str(tmp_path)))

@@ -17,7 +17,7 @@ from qfilter.config import (
 )
 from qfilter.errors import ConfigError
 from qfilter import cli, serialize
-from qfilter.verify import random_density_operator, random_kraus_family
+from qfilter.verify import ALL_SUITES, random_density_operator, random_kraus_family
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -138,6 +138,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             load_config(path)
 
+    def test_verify_values_are_passed_on_as_int(self):
+        raw = json.loads((CONFIGS / "verify_small.json").read_text())
+        raw["verify"] = {"oracle": {"n_instances": 3.0, "seed": 7.0}}
+        params = parse_config(raw).verify["oracle"]
+        assert params == {"n_instances": 3, "seed": 7}
+        assert all(type(value) is int for value in params.values())
+
     def test_schema_is_valid_draft_2020_12(self):
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
@@ -229,8 +236,19 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"]
         assert {s["name"] for s in report["suites"]} == {
-            "ideal_reduction", "determinism",
+            "ideal-reduction", "determinism",
         }
+
+    def test_report_names_each_suite_by_its_key(self, tmp_path):
+        out = tmp_path / "verify"
+        code = main(["verify", "--config", str(CONFIGS / "verify_small.json"),
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [s["name"] for s in report["suites"]] == list(ALL_SUITES)
+        assert list(report["suites"][0]) == [
+            "name", "passed", "measured", "tolerance", "error",
+        ]
 
     def test_corrupted_error_model_surfaces(self, tmp_path):
         raw = json.loads((CONFIGS / "two_level.json").read_text())
@@ -260,6 +278,10 @@ class TestCli:
         [
             ({"oracel": {"n_instances": 3}}, "oracel"),
             ({"oracle": {"state_tol": 1.0}}, "state_tol"),
+            ({"oracle": {"n_instances": 0}}, "n_instances"),
+            ({"oracle": {"n_instances": "3"}}, "n_instances"),
+            ({"oracle": {"n_instances": True}}, "n_instances"),
+            ({"determinism": {"seed": -1}}, "seed"),
         ],
     )
     def test_bad_verify_block_is_a_config_error(
@@ -279,6 +301,25 @@ class TestCli:
         code = main(["verify", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert repr(key) in caplog.text
+        assert not (out / "report.json").exists()
+
+    def test_unknown_simulate_check_is_a_config_error(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        def no_ensemble_may_run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_ensemble_may_run)
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["checks"] = ["submartingal"]
+        path = tmp_path / "bad_check.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="submartingal"):
+            load_config(path)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "'submartingal'" in caplog.text
         assert not (out / "report.json").exists()
 
     def test_usage_error_exit_code(self, capsys):
@@ -383,14 +424,42 @@ class TestCli:
         assert "/model/steps/0/kraus/completeness_tolerance" in caplog.text
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_negative_seed_exit_code(self, tmp_path, command, caplog):
+    def test_negative_seed_exit_code(self, tmp_path, command, caplog, capsys):
         config = "two_level.json" if command == "simulate" else "verify_small.json"
         code = main(
             [command, "--config", str(CONFIGS / config), "--out", str(tmp_path / "o"),
              "--seed", "-1"]
         )
         assert code == 1
-        assert "--seed" in caplog.text
+        # simulate logs the bad value; verify has no --seed, and argparse
+        # prints the usage error to stderr
+        stream = caplog.text if command == "simulate" else capsys.readouterr().err
+        assert "--seed" in stream
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("filter", ["--seed", "3"]),
+            ("verify", ["--seed", "3"]),
+            ("photonbox-export", ["--seed", "3"]),
+            ("verify", ["--tolerance", "psd=0.5"]),
+            ("photonbox-export", ["--tolerance", "psd=0.5"]),
+        ],
+    )
+    def test_flags_that_change_nothing_are_usage_errors(
+        self, tmp_path, capsys, command, flag
+    ):
+        config = {
+            "filter": "two_level_filter.json",
+            "verify": "verify_small.json",
+            "photonbox-export": "photonbox_small.json",
+        }[command]
+        argv = [command, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+        if command == "filter":
+            argv += ["--outcomes", str(CONFIGS / "two_level_outcomes.json")]
+        assert main(argv + flag) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("alpha", [["nan", "0"], ["inf", "0"], ["0", "nan"]])
     def test_non_finite_alpha_exit_code(self, tmp_path, alpha, caplog):

@@ -62,7 +62,7 @@ class TestValidateDensity:
         # eigenvalues 1.1 and -0.1 by the 2x2 trace/determinant formula
         with pytest.raises(NegativeEigenvalueError) as err:
             DensityOperator([[0.5, 0.6], [0.6, 0.5]])
-        assert err.value.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+        assert err.value.deviation == pytest.approx(-0.1, abs=1e-12)
 
     def test_non_hermitian_detected(self):
         with pytest.raises(NonHermitianError):

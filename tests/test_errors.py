@@ -3,6 +3,7 @@ import pytest
 
 from qfilter.errors import (
     CompletenessViolationError,
+    NegativeEigenvalueError,
     NonHermitianError,
     ProbabilityDeficitError,
     QFilterError,
@@ -35,6 +36,11 @@ from qfilter.errors import (
             True,
             "sum of M^dag M deviates from identity by 2.500e-03 "
             "(tolerance 1.000e-09)",
+        ),
+        (
+            NegativeEigenvalueError,
+            True,
+            "matrix has negative eigenvalue 2.500e-03 below -1.000e-09",
         ),
     ],
 )

@@ -119,13 +119,16 @@ class TestElementaryOperators:
         assert 3.5 <= ratio <= 4.5
 
     def test_boundary_artifact_is_first_order(self):
-        # the raw corner defect scales linearly, which is why it is excluded
-        # from the second-order check by default
+        # the raw corner defect scales linearly, which is why
+        # cavity_completeness_deficit excludes it from the second-order check
+        def corner_defect(params):
+            ops = l_operators(params)
+            total = sum(ops[k].conj().T @ ops[k] for k in CAVITY_JUMPS)
+            return abs(total[-1, -1] - 1.0)
+
         params = PhotonBoxParams()
         halved = dataclasses.replace(params, decoherence_strength=5e-3)
-        full = cavity_completeness_deficit(params, include_boundary=True)
-        full_halved = cavity_completeness_deficit(halved, include_boundary=True)
-        assert full / full_halved < 3.5
+        assert corner_defect(params) / corner_defect(halved) < 3.5
 
 
 class TestCompositeKraus:
