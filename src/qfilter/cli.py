@@ -258,6 +258,12 @@ def _write_summary(
 
 def cmd_simulate(args) -> int:
     config = _prepare(args)
+    for check in config.checks:
+        if check != "submartingale":
+            raise ConfigError(
+                f"simulate runs only the 'submartingale' check, not {check!r}; "
+                "run verification suites with 'qfilter verify'"
+            )
     out = _out_dir(config)
     steps = build_steps(config.model, config.horizon)
     true_state, filters, dim = resolve_states(config)

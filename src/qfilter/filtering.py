@@ -214,7 +214,7 @@ def outcome_probabilities(state: FilterState, step: MeasurementStep) -> np.ndarr
             f"step dimension {step.dim} != estimate dimension {state.estimate.dim}"
         )
     raw = step.errors.eta @ raw_jump_probabilities(step.family, state.estimate)
-    return _clamp_and_renormalize(raw, step.family.completeness_tolerance)
+    return _clamp_and_renormalize(raw, step.family)
 
 
 def run_filter(

@@ -78,11 +78,18 @@ class KrausFamily:
     ``KrausFamily(operators)`` is an unfactored family; ``_factored`` builds
     one from its inner diagonals and outer stack. A factor whose imaginary
     part is exactly zero is stored as float64; ``operators`` is complex128.
+
+    A measured completeness tolerance (``_factored`` with none declared)
+    is formed from the factors on the first read of
+    ``completeness_tolerance``, an eigvalsh of the defect. Until then the
+    family holds one float, a lower bound on it, which settles every
+    probability check whose deviation lies below it.
     """
 
     __slots__ = (
         "labels",
-        "completeness_tolerance",
+        "_tolerance",
+        "_tolerance_floor",
         "_inner",
         "_flat",
         "_adjoints_flat",
@@ -113,10 +120,18 @@ class KrausFamily:
 
         With no ``tolerance``, the tolerance is the measured defect: the
         spectral norm of sum_q M_q^dag M_q - I, times (1 + 1e-9), plus 1e-14.
+        It is formed from the stored factors on the first read of
+        ``completeness_tolerance``; until then the family keeps only a lower
+        bound on it, from the defect's largest entry.
         """
         family = cls.__new__(cls)
         family._set_factors(inner, outer, tolerance, labels)
         return family
+
+    def _defect(self) -> np.ndarray:
+        """sum_q M_q^dag M_q - I = (sum_j conj(a_j) a_j^T) o (sum_k B_k^dag B_k) - I."""
+        inner, flat = self._inner, self._flat
+        return (inner.conj().T @ inner) * (flat.conj().T @ flat) - np.eye(self.dim)
 
     def _set_factors(self, inner, outer, tol, labels) -> None:
         (j, d), k = inner.shape, len(outer)
@@ -134,16 +149,25 @@ class KrausFamily:
         _read_only(inner, outer, adjoints)
         self._inner, self._flat = inner, outer.reshape(k * d, d)
         self._adjoints_flat = adjoints
-        # sum_q M_q^dag M_q = (sum_j conj(a_j) a_j^T) o (sum_k B_k^dag B_k): two gemms.
-        gram = (inner.conj().T @ inner) * (self._flat.conj().T @ self._flat)
-        defect = gram - np.eye(d)
+        deviation = float(np.abs(self._defect()).max())
         if tol is None:
-            tol = float(np.abs(np.linalg.eigvalsh(defect)).max()) * (1.0 + 1e-9) + 1e-14
-        deviation = float(np.abs(defect).max())
-        if deviation > tol:
+            # |D_ij| <= ||D||_2, less eigvalsh's relative backward error (far
+            # below 1e-12), so this never exceeds the measured tolerance.
+            floor = deviation * (1.0 - 1e-12) * (1.0 + 1e-9) + 1e-14
+        elif deviation > tol:
             raise CompletenessViolationError(deviation, tol)
+        else:
+            floor = tol = float(tol)
         self.labels = tuple(labels) if labels is not None else None
-        self.completeness_tolerance = float(tol)
+        self._tolerance, self._tolerance_floor = tol, floor
+
+    @property
+    def completeness_tolerance(self) -> float:
+        """The declared tolerance, or the measured one, formed on first read."""
+        if self._tolerance is None:
+            defect = float(np.abs(np.linalg.eigvalsh(self._defect())).max())
+            self._tolerance = defect * (1.0 + 1e-9) + 1e-14
+        return self._tolerance
 
     @property
     def operators(self) -> np.ndarray:
@@ -303,14 +327,19 @@ def raw_jump_probabilities(family: KrausFamily, rho: DensityOperator) -> np.ndar
     return _traces(_effects(family), rho.matrix)[0]
 
 
-def _clamp_and_renormalize(
-    probs: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Clamp and renormalize a probability vector, or each row of a stack."""
+def _clamp_and_renormalize(probs: np.ndarray, family: KrausFamily) -> np.ndarray:
+    """Clamp and renormalize a probability vector, or each row of a stack.
+
+    A row whose sum is off 1 by more than the family's completeness tolerance
+    (plus 1e-12) raises; the tolerance itself is read only for a deviation
+    above the family's lower bound on it.
+    """
     deviation = probs.sum(axis=-1) - 1.0
-    if np.abs(deviation).max() > tolerance + 1e-12:
-        first = deviation[np.abs(deviation) > tolerance + 1e-12].flat[0]
-        raise ProbabilityDeficitError(float(first), tolerance)
+    if np.abs(deviation).max() > family._tolerance_floor + 1e-12:
+        tolerance = family.completeness_tolerance
+        excess = np.abs(deviation) > tolerance + 1e-12
+        if excess.any():
+            raise ProbabilityDeficitError(float(deviation[excess].flat[0]), tolerance)
     lowest = float(probs.min())
     if lowest < -PROB_FLOOR:
         raise ValidationError(

@@ -200,9 +200,7 @@ def _advance_truth(
         raise DimensionMismatchError(
             f"family dimension {family.dim} != state dimension {truth.shape[-1]}"
         )
-    probs = _clamp_and_renormalize(
-        _traces(effects, truth), family.completeness_tolerance
-    )
+    probs = _clamp_and_renormalize(_traces(effects, truth), family)
     q = inverse_cdf_rows(probs, uniforms[:, 0])
     _jumps(family, q, truth, out, scratch)
     return q, inverse_cdf_rows(step.errors.eta.T[q], uniforms[:, 1])
@@ -323,7 +321,7 @@ def _run_block(
         )
         if config.record_predictions:
             raw = _traces(effects, states[1:]) @ step.errors.eta.T
-            probs = _clamp_and_renormalize(raw, family.completeness_tolerance)
+            probs = _clamp_and_renormalize(raw, family)
             predictions.append(probs.reshape(len(names), n, -1))
         tol = config.tolerances
         work = _workspace(step._factors[0], n, work, states.dtype)

@@ -322,6 +322,26 @@ class TestCli:
         assert "'submartingal'" in caplog.text
         assert not (out / "report.json").exists()
 
+    def test_verify_suite_in_simulate_checks_is_a_config_error(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        # The schema admits every suite name in "checks", which verify reads;
+        # simulate runs only the submartingale check.
+        def no_ensemble_may_run(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_ensemble_may_run)
+        raw = json.loads((CONFIGS / "photonbox_small.json").read_text())
+        raw["checks"] = ["submartingale", "oracle"]
+        path = tmp_path / "suite_check.json"
+        path.write_text(json.dumps(raw))
+        load_config(path)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "'oracle'" in caplog.text and "qfilter verify" in caplog.text
+        assert not out.exists() or not any(out.iterdir())
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["filter"]) == 1  # missing required arguments
 

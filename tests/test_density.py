@@ -3,8 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfilter import DensityOperator, Tolerances, fidelity
-from qfilter.density import _real_divide, _sqrt_psd, _validated
+from qfilter import (
+    DensityOperator,
+    MeasurementStep,
+    Tolerances,
+    TrajectoryConfig,
+    fidelity,
+    run_trajectory,
+    stability,
+    verify,
+)
+from qfilter.density import _fidelities, _real_divide, _sqrt_psd, _validated
 from qfilter.errors import (
     DimensionMismatchError,
     NegativeEigenvalueError,
@@ -13,6 +22,7 @@ from qfilter.errors import (
     ValidationError,
 )
 from qfilter.kraus import PROB_FLOOR
+from qfilter.photonbox import PhotonBoxParams, composite_kraus, detection_error_model
 from qfilter.verify import random_density_operator
 
 
@@ -230,3 +240,202 @@ class TestFidelity:
         f = fidelity(rho, sigma)
         assert 0.0 <= f <= 1.0
         assert abs(f - fidelity(sigma, rho)) <= 1e-9
+
+
+def hermitian_with_spectrum(rng, eigenvalues, complex_=True):
+    """An exactly Hermitian U diag(eigenvalues) U^dag with a random unitary U."""
+    d = len(eigenvalues)
+    g = rng.standard_normal((d, d))
+    if complex_:
+        g = g + 1j * rng.standard_normal((d, d))
+    u, _ = np.linalg.qr(g)
+    m = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (m + m.conj().T) / 2  # exactly Hermitian, so validation leaves it as is
+
+
+def eigvalsh_verdict(stack, tol):
+    """The PSD decision of an eigvalsh over the stack: None, or the first
+    failing matrix's smallest eigenvalue in C order."""
+    lam_min = np.linalg.eigvalsh(stack)[..., 0]
+    failing = lam_min < -tol.psd
+    return lam_min[failing].flat[0] if failing.any() else None
+
+
+class TestPsdCertificate:
+    """The Cholesky certificate decides PSD as an eigvalsh of the stack does,
+    and a failure names the same matrix and value."""
+
+    TOL = Tolerances()
+
+    def _check_against_eigvalsh(self, stack):
+        expected = eigvalsh_verdict(stack, self.TOL)
+        for call in (
+            lambda: _validated(stack, self.TOL),
+            lambda: _validated(stack, self.TOL, np.empty_like(stack), np.empty_like(stack)),
+        ):
+            if expected is None:
+                call()
+            else:
+                with pytest.raises(NegativeEigenvalueError) as err:
+                    call()
+                assert err.value.deviation == expected
+                assert err.value.tolerance == self.TOL.psd
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_rank_deficient_states_pass(self, rng, complex_, rank):
+        d = 5
+        stack = np.stack([
+            hermitian_with_spectrum(rng, np.r_[np.full(rank, 1.0 / rank), np.zeros(d - rank)], complex_)
+            for _ in range(4)
+        ])
+        assert eigvalsh_verdict(stack, self.TOL) is None
+        self._check_against_eigvalsh(stack)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_threshold(self, rng, complex_, factor):
+        # lambda_min = -tol.psd * (1 -+ 1e-3): inside the tolerance, then outside.
+        lam = -self.TOL.psd * factor
+        m = hermitian_with_spectrum(rng, [lam, 0.2, 0.3, 0.5 - lam], complex_)
+        stack = np.stack([hermitian_with_spectrum(rng, [0.25] * 4, complex_), m])
+        verdict = eigvalsh_verdict(stack, self.TOL)
+        assert (verdict is None) == (factor < 1)
+        self._check_against_eigvalsh(stack)
+        self._check_against_eigvalsh(m)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("bad", [0, 3, 5])
+    def test_only_matrix_i_fails(self, rng, complex_, bad):
+        d = 4
+        stack = np.stack([
+            hermitian_with_spectrum(rng, rng.dirichlet(np.ones(d)), complex_)
+            for _ in range(6)
+        ])
+        stack[bad] = hermitian_with_spectrum(rng, [-1e-3, 0.2, 0.3, 0.501], complex_)
+        if bad < 5:  # a later failing matrix is not the one named
+            stack[5] = hermitian_with_spectrum(rng, [-0.2, 0.3, 0.4, 0.5], complex_)
+        self._check_against_eigvalsh(stack.reshape(2, 3, d, d))
+        with pytest.raises(NegativeEigenvalueError) as err:
+            _validated(stack, self.TOL)
+        assert err.value.deviation == np.linalg.eigvalsh(stack[bad])[0]
+
+
+def mp_fidelity(rho, sigma):
+    """F(rho, sigma) at 40 digits, for the float64 matrices taken as exact.
+
+    Negative eigenvalues (rounding on an exact zero) count as zero."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    w, v = mp.eighe(mp.matrix(rho.tolist()))
+    root = mp.diag([mp.sqrt(max(x, 0)) for x in w])
+    s = v * root * v.H
+    inner = s * mp.matrix(sigma.tolist()) * s
+    w = mp.eighe((inner + inner.H) / 2, eigvals_only=True)
+    return float(mp.fsum(mp.sqrt(max(x, 0)) for x in w) ** 2)
+
+
+def photonbox_pairs(alpha, steps=(1, 2)):
+    """(optimal, agnostic) estimates after the first steps at a fixed drive:
+    the optimal one is near-pure (smallest eigenvalues 1e-13 to 1e-21)."""
+    params = PhotonBoxParams()
+    step = MeasurementStep(composite_kraus(params, alpha), detection_error_model(params))
+    record = run_trajectory(TrajectoryConfig(
+        true_initial=DensityOperator.basis_state(11, 0),
+        filter_initials={
+            "optimal": DensityOperator.basis_state(11, 0),
+            "agnostic": DensityOperator.maximally_mixed(11),
+        },
+        steps=step, horizon=max(steps), seed=3, store_states=True,
+    ))
+    states = record.filter_states
+    return [(states["optimal"][k - 1].matrix, states["agnostic"][k - 1].matrix) for k in steps]
+
+
+def without_top_level(rho):
+    """rho with its last row and column zeroed and renormalized: exactly
+    singular, so its Cholesky factorization fails."""
+    cut = rho.copy()
+    cut[-1, :] = cut[:, -1] = 0.0
+    return cut / np.trace(cut).real
+
+
+class TestFidelityPaths:
+    """The three ways ``_fidelities`` evaluates F, against 40 digits."""
+
+    @pytest.fixture
+    def eigensolvers(self, monkeypatch):
+        calls = {"eigh": 0, "cholesky_failed": 0}
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_cholesky(*args, **kwargs):
+            try:
+                return cholesky(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls["cholesky_failed"] += 1
+                raise
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        return calls
+
+    @pytest.mark.parametrize("alpha", [0.3, -0.7, 0.4])
+    def test_near_pure_photonbox_pairs(self, alpha, eigensolvers):
+        for rho, sigma in photonbox_pairs(alpha):
+            singular = without_top_level(rho)
+            cases = [
+                # sigma factors
+                ((rho, sigma), {"eigh": 0, "cholesky_failed": 0}),
+                # sigma singular: rho factors
+                ((sigma, singular), {"eigh": 0, "cholesky_failed": 1}),
+                # both singular: the eigh form
+                ((singular, without_top_level(sigma)), {"eigh": 1, "cholesky_failed": 2}),
+            ]
+            for (a, b), path in cases:
+                eigensolvers.update(eigh=0, cholesky_failed=0)
+                got = float(_fidelities(a, b))
+                assert eigensolvers == path
+                # F's sensitivity to rounding-level eigenvalues of near-pure
+                # states, not the kernel, sets this scale.
+                assert abs(got - mp_fidelity(a, b)) <= 3e-8
+
+    def test_symmetric_when_one_matrix_is_singular(self, rng):
+        for d in (2, 3, 5):
+            rho = random_density_operator(rng, d).matrix
+            sigma = random_density_operator(rng, d, rank=1).matrix
+            assert _fidelities(rho, sigma) == _fidelities(sigma, rho)
+
+    def test_argument_order_on_inequality_seed_4_instance_512(self, monkeypatch):
+        # A full-rank rho against a numerically pure sigma (smallest stored
+        # eigenvalue 5.3e-16): the eigh form alone puts one part's two
+        # orders 6.6e-9 apart; both orders now factor the same matrix.
+        # Replay the suite's draws and evaluate only instance 512.
+        gaps = []
+        real_check = stability.check_fidelity_inequality
+
+        def only_512(operators, partition, rho, sigma):
+            if len(gaps) == 512:
+                states = []
+
+                def both_orders(a, b, work=(None, None)):
+                    states.append((a, b))
+                    return _fidelities(a, b, work)
+
+                with monkeypatch.context() as m:
+                    m.setattr(stability, "_fidelities", both_orders)
+                    real_check(operators, partition, rho, sigma)
+                (a, b), = states
+                gaps.append(np.abs(_fidelities(a, b) - _fidelities(b, a)).max())
+                gaps.append(abs(fidelity(rho, sigma) - fidelity(sigma, rho)))
+            else:
+                gaps.append(None)
+            return stability.OneStepCheck(0.0, 0.0, 0.0, np.zeros(1), ())
+
+        monkeypatch.setattr(verify, "check_fidelity_inequality", only_512)
+        verify.inequality_suite(n_instances=513, seed=4)
+        assert max(gaps[512:]) <= 1e-12

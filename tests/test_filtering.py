@@ -312,7 +312,10 @@ class TestSharedFactors:
         assert kraus._row_factors.cache_info().misses == 1
         assert kraus._inner_products.cache_info().misses == 1
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, -0.7, 0.4 - 0.3j])
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 0.3, -0.7, 0.4 - 0.3j, -1.0, -0.5, -0.2, 0.5, 1.0, 0.25j, -0.6 + 0.2j],
+    )
     def test_photonbox_tolerance_is_the_measured_spectral_defect(self, alpha):
         params = PhotonBoxParams()
         atoms, cavity = photonbox._sectors(params)
@@ -321,6 +324,9 @@ class TestSharedFactors:
         defect = np.abs(np.linalg.eigvalsh(gram - np.eye(11))).max()
         expected = float(defect) * (1.0 + 1e-9) + 1e-14
         family = composite_kraus.__wrapped__(params, alpha)
+        # Formed on first read, bit for bit; until then only a lower bound.
+        assert family._tolerance is None
+        assert family._tolerance_floor <= expected
         assert family.completeness_tolerance == expected
 
 

@@ -14,10 +14,11 @@ from qfilter.errors import (
     CompletenessViolationError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    ProbabilityDeficitError,
     ValidationError,
     ZeroProbabilityJumpError,
 )
-from qfilter.kraus import weighted_image
+from qfilter.kraus import _clamp_and_renormalize, weighted_image
 from qfilter.photonbox import PhotonBoxParams, composite_kraus
 from qfilter.verify import random_density_operator, random_kraus_family
 
@@ -185,3 +186,45 @@ class TestKrausMap:
                 p * apply_jump(family, q, rho).matrix for q, p in enumerate(probs)
             )
             assert np.abs(kraus_map(family, rho) - mixture).max() < 1e-10
+
+
+
+class TestMeasuredTolerance:
+    def test_declared_tolerance_is_its_own_floor(self):
+        family = KrausFamily([np.eye(2)], completeness_tolerance=1e-7)
+        assert family._tolerance_floor == family.completeness_tolerance == 1e-7
+
+    @staticmethod
+    def _probs(deviation):
+        return np.array([0.25, 0.125, 0.625 + deviation])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clamp_raises_exactly_above_the_tolerance(self, sign):
+        # At alpha = 0.3 the floor sits 16% below the tolerance.
+        family = composite_kraus.__wrapped__(PhotonBoxParams(), 0.3)
+        floor = family._tolerance_floor
+        tolerance = composite_kraus.__wrapped__(PhotonBoxParams(), 0.3).completeness_tolerance
+        below, between = 0.5 * floor, 0.5 * (floor + tolerance)
+        above = tolerance + 2e-12
+        for deviation in (below, between, above):
+            probs = self._probs(sign * deviation)
+            realized = probs.sum() - 1.0
+            if abs(realized) > tolerance + 1e-12:
+                with pytest.raises(ProbabilityDeficitError) as err:
+                    _clamp_and_renormalize(probs, family)
+                assert err.value.deviation == realized
+                assert err.value.tolerance == tolerance
+            else:
+                out = _clamp_and_renormalize(probs, family)
+                assert out.sum() == pytest.approx(1.0, abs=1e-15)
+            # A deviation below the floor never forms the tolerance.
+            assert (family._tolerance is None) == (deviation == below)
+        assert abs(self._probs(sign * above).sum() - 1.0) > tolerance + 1e-12
+
+    def test_clamp_names_the_first_row_above_the_tolerance(self):
+        family = composite_kraus.__wrapped__(PhotonBoxParams(), -0.7)
+        tolerance = family.completeness_tolerance
+        rows = np.stack([self._probs(d) for d in (0.0, 0.9 * tolerance, 2 * tolerance, -3 * tolerance)])
+        with pytest.raises(ProbabilityDeficitError) as err:
+            _clamp_and_renormalize(rows, family)
+        assert err.value.deviation == rows[2].sum() - 1.0

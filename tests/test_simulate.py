@@ -525,6 +525,33 @@ def test_feedback_memory_peak_within_budget():
     assert len({id(step.family) for step in record.steps}) > 250
     assert peak <= FEEDBACK_PEAK_BUDGET
 
+def test_feedback_step_runs_one_eigensolver(monkeypatch):
+    # Per step: a Cholesky certificate for the validated states, and a
+    # Cholesky factor plus one eigvalsh for the fidelity. No family's
+    # completeness tolerance is formed, and no eigh runs.
+    params = PhotonBoxParams()
+    errors = detection_error_model(params)
+    composite_kraus.__wrapped__(params, 0.3)  # the displacement's cached spectrum
+
+    def controller(k, estimate):
+        return MeasurementStep(composite_kraus.__wrapped__(params, 0.3 + 0.01 * k), errors)
+
+    horizon = 6
+    config = dataclasses.replace(_photonbox_config(horizon), steps=controller)
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    record = run_trajectory(config)
+    assert all(step.family._tolerance is None for step in record.steps)
+    # The fidelity of the initial states adds one Cholesky and one eigvalsh.
+    assert calls == {"eigh": 0, "eigvalsh": horizon + 1, "cholesky": 2 * horizon + 1}
+
+
 @pytest.mark.parametrize("seed", [-1, -5])
 def test_negative_seed_rejected(seed):
     with pytest.raises(ValidationError, match="non-negative"):
